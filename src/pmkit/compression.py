@@ -1,13 +1,15 @@
 """Level-l compressions and compression sequences.
 
 Compressing element e at level l means freely adding l points to e,
-contracting them, and deleting e. On the count grid this is exact:
+contracting them, and deleting e. On the count grid this is
 
     result(A) = R(k on A, l on e) - R(l on e)      for A inside E - {e}
 
-so no principal-extension machinery is needed. Levels saturate: l = 0 is
-deletion of e, and any l >= rho({e}) is contraction of e. A compression is
-internal when 1 <= l <= rho({e}) - 1.
+In R(k on A, l on e) = min over B of rho(B) + k|A - B| + l[e not in B],
+adding a member a of A to B never raises the value (rho(B+a) <= rho(B) + k),
+so only B = A and B = A+e matter, and result(A) = min(rho(A) + l, rho(A+e))
+- R(l on e). Levels saturate: l = 0 is deletion of e, and any l >= rho({e})
+is contraction of e. A compression is internal when 1 <= l <= rho({e}) - 1.
 """
 
 from __future__ import annotations
@@ -39,20 +41,16 @@ def compress(rho: RankTable, element: str, level: int) -> RankTable:
     if not 0 <= level <= rho.k:
         raise LevelOutOfRange(f"level must lie in [0, {rho.k}]", level=level)
     pos = rho.labels.index(element)
-    keep = [i for i in range(len(rho.labels)) if i != pos]
-    labels = tuple(rho.labels[i] for i in keep)
-    base_counts = [0] * len(rho.labels)
-    base_counts[pos] = level
-    base = multiset_rank(rho, base_counts)
+    bit = 1 << pos
+    low = bit - 1
+    base = multiset_rank(rho, [level if i == pos else 0
+                               for i in range(len(rho.labels))])
     ranks = []
-    for mask in range(1 << len(keep)):
-        counts = [0] * len(rho.labels)
-        counts[pos] = level
-        for j, i in enumerate(keep):
-            if mask >> j & 1:
-                counts[i] = rho.k
-        ranks.append(multiset_rank(rho, counts) - base)
-    return RankTable(labels, rho.k, tuple(ranks))
+    for mask in range(1 << (len(rho.labels) - 1)):
+        full = (mask & low) | (mask & ~low) << 1  # A as a subset of E
+        ranks.append(min(rho.ranks[full] + level, rho.ranks[full | bit]) - base)
+    labels = rho.labels[:pos] + rho.labels[pos + 1:]
+    return RankTable._trusted(labels, rho.k, tuple(ranks))
 
 
 def internal_steps(rho: RankTable):

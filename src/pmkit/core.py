@@ -394,14 +394,16 @@ def _permuted_ranks(ranks: Sequence[int], perm: Sequence[int]) -> tuple[int, ...
     return tuple(pre)
 
 
+def canonical_labelling(rho: RankTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lexicographically least rank vector over all relabelings, with the least
+    permutation reaching it: position j of rho is position perm[j] there."""
+    return min((_permuted_ranks(rho.ranks, perm), perm)
+               for perm in itertools.permutations(range(len(rho.labels))))
+
+
 def canonical_form(rho: RankTable) -> tuple[int, ...]:
     """Lexicographically least rank vector over all relabelings."""
-    best = None
-    for perm in itertools.permutations(range(len(rho.labels))):
-        cand = _permuted_ranks(rho.ranks, perm)
-        if best is None or cand < best:
-            best = cand
-    return best if best is not None else (0,)
+    return canonical_labelling(rho)[0]
 
 
 def canonical_key(rho: RankTable) -> tuple:

@@ -2,17 +2,20 @@
 
 Writing a k-polymatroid as an n-polymatroid tau plus (k-n) copies of a
 maximally-separated matroid r confines the base polytope to a corner box of
-the k-cube. For k >= 2n+1 the decomposition is unique when it exists, and r
-is forced: an element is a coloop of r exactly when its rank exceeds n.
-Outside that regime only existence is meaningful, so the exhaustive variant
-tries every coloop set.
+the k-cube. As r is modular, tau = rho - (k-n) r is submodular with rho, so
+a coloop set works at level n iff every non-coloop e has rho(e) <= n and
+every coloop e has marginal rho(E) - rho(E-e) >= k-n. Both only get easier
+as n grows, so the essential bound (the least n admitting a decomposition) is
+max_e min(rho(e), k - (rho(E) - rho(E-e))), 0 on an empty ground set, with
+the forced coloops {e : rho(e) > n}: the least coloop bitmask that works.
+For k >= 2n+1 the decomposition is unique when it exists. The exhaustive
+variant, which tries every coloop set, is the oracle for these closed forms.
 
-The essential bound of rho is the least n admitting a decomposition (n = k
-always works, with r all loops). Polymatroids glue: a decomposition of rho
-can be assembled from decompositions of the deletion, contraction, and
-restriction at one element, which is what ``decompose_via_minors`` does
-recursively. For essentially m-bounded tables, every compression at a level
-in [m, k-m] collapses to the plain deletion or contraction.
+Polymatroids glue: a decomposition of rho can be assembled from
+decompositions of the deletion, contraction, and restriction at one element,
+which is what ``decompose_via_minors`` does recursively. For essentially
+m-bounded tables, every compression at a level in [m, k-m] collapses to the
+plain deletion or contraction.
 """
 
 from __future__ import annotations
@@ -71,11 +74,29 @@ def _build(rho: RankTable, n: int, coloop_mask: int) -> CornerDecomposition | No
     return CornerDecomposition(n, tau, MaxSepMatroid(rho.labels, coloops))
 
 
+def _marginal(rho: RankTable, i: int) -> int:
+    """rho(E) - rho(E-e) for the element at position i."""
+    return rho.total_rank - rho.ranks[rho.full_mask ^ (1 << i)]
+
+
+def _forced(rho: RankTable, n: int) -> CornerDecomposition:
+    """tau = rho - (k-n) r with the forced coloops {e : rho(e) > n}. The caller
+    has checked that each forced coloop's marginal is at least k-n."""
+    sep = MaxSepMatroid(rho.labels, frozenset(
+        name for i, name in enumerate(rho.labels) if rho.ranks[1 << i] > n))
+    weight, coloop_mask = rho.k - n, sep.coloop_mask
+    tau = RankTable._trusted(rho.labels, n, tuple(
+        value - weight * (mask & coloop_mask).bit_count()
+        for mask, value in enumerate(rho.ranks)))
+    return CornerDecomposition(n, tau, sep)
+
+
 def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
     """The unique n-corner decomposition in the regime k >= 2n+1.
 
     The coloop set is forced (rank > n), so this either returns the
-    decomposition or rejects with the axiom tau violates.
+    decomposition or rejects with the first coloop whose marginal
+    rho(E) - rho(E-e) falls below k-n.
     """
     if n < 0:
         raise InvalidParams("n must be nonnegative", n=n)
@@ -83,24 +104,15 @@ def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
         raise UniquenessRegimeViolated(
             f"uniqueness needs 2n+1 <= k; got n={n}, k={rho.k} "
             "(use corner_decompose_exhaustive)", n=n, k=rho.k)
-    coloop_mask = 0
-    for i in range(len(rho.labels)):
-        if rho.ranks[1 << i] > n:
-            coloop_mask |= 1 << i
-    built = _build(rho, n, coloop_mask)
-    if built is None:
-        weight = rho.k - n
-        witness = next(
-            (mask for mask in range(1 << len(rho.labels))
-             if rho.ranks[mask] - weight * (mask & coloop_mask).bit_count() < 0),
-            None)
-        raise NotDecomposable(
-            f"no {n}-corner decomposition: residual table is not an "
-            f"{n}-polymatroid", n=n,
-            negative_subset=None if witness is None else
-            ",".join(rho.labels[i] for i in range(len(rho.labels))
-                     if witness >> i & 1))
-    return built
+    weight = rho.k - n
+    for i, name in enumerate(rho.labels):
+        marginal = _marginal(rho, i)
+        if rho.ranks[1 << i] > n and marginal < weight:
+            raise NotDecomposable(
+                f"no {n}-corner decomposition: coloop {name} has marginal "
+                f"rho(E) - rho(E-{name}) = {marginal} < k-n = {weight}",
+                n=n, element=name, marginal=marginal)
+    return _forced(rho, n)
 
 
 def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposition]:
@@ -118,22 +130,11 @@ def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposit
 
 @lru_cache(maxsize=1 << 16)
 def essential_bound(rho: RankTable) -> tuple[int, CornerDecomposition]:
-    """Least n admitting an n-corner decomposition, with that decomposition.
-
-    Uses the forced-coloop rule inside the uniqueness regime and the
-    exhaustive scan beyond it, keeping the least coloop bitmask on ties.
-    Pure in rho, so results are memoized.
-    """
-    for n in range(0, rho.k + 1):
-        if 2 * n + 1 <= rho.k:
-            try:
-                return n, corner_decompose(rho, n)
-            except NotDecomposable:
-                continue
-        found = corner_decompose_exhaustive(rho, n)
-        if found:
-            return n, found[0]
-    raise AssertionError("n = k always decomposes")  # pragma: no cover
+    """Least n admitting an n-corner decomposition, with the one whose coloops
+    are forced (see the module docstring). Pure in rho, so memoized."""
+    n = max((min(rho.ranks[1 << i], rho.k - _marginal(rho, i))
+             for i in range(len(rho.labels))), default=0)
+    return n, _forced(rho, n)
 
 
 def glue_decomposition(rho: RankTable, element: str,

@@ -29,6 +29,7 @@ from .core import (
     RankTable,
     canonical_form,
     canonical_key,
+    canonical_labelling,
     doubleton,
     iter_rank_tables,
     singleton,
@@ -176,33 +177,48 @@ def nullity_prune(rho: RankTable, contract: Sequence[int], spec: ClassSpec) -> b
     return branch_size - branch_rank >= spec.a
 
 
-_CLASS_CACHE: dict[tuple, tuple[bool, MinorWitness | None]] = {}
+_CLASS_CACHE: dict[tuple, MinorWitness | None] = {}
+_MISS = object()
+
+
+def _relabel(witness: MinorWitness, order: Sequence[int]) -> MinorWitness:
+    """The witness with position j of its count vectors read from order[j]."""
+    return MinorWitness(tuple(witness.contract[p] for p in order),
+                        tuple(witness.keep[p] for p in order), witness.target)
+
+
+def _cached_witness(rho: RankTable, spec: ClassSpec,
+                    prune: bool) -> tuple[MinorWitness | None, tuple[int, ...]]:
+    """The class witness in canonical coordinates (None inside the class) and
+    rho's canonical permutation, detecting and caching on a miss."""
+    if rho.k != spec.k:
+        raise KMismatch("table k does not match the class k",
+                        table=rho.k, cls=spec.k)
+    form, perm = canonical_labelling(rho)
+    key = (spec.a, spec.b, spec.k, form, prune)
+    cached = _CLASS_CACHE.get(key, _MISS)
+    if cached is _MISS:
+        grid = MultisetRankGrid(rho)
+        witness = None
+        for a0, b0 in spec.targets:
+            witness = _detect(rho, a0, b0, prune=prune, grid=grid)
+            if witness is not None:
+                break
+        inverse = sorted(range(len(perm)), key=perm.__getitem__)
+        cached = None if witness is None else _relabel(witness, inverse)
+        _CLASS_CACHE[key] = cached
+    return cached, perm
 
 
 def in_class(rho: RankTable, spec: ClassSpec, prune: bool = True) -> bool:
-    member, _ = class_membership(rho, spec, prune=prune)
-    return member
+    return _cached_witness(rho, spec, prune)[0] is None
 
 
 def class_membership(rho: RankTable, spec: ClassSpec,
                      prune: bool = True) -> tuple[bool, MinorWitness | None]:
-    """Membership plus, when outside, a witness minor."""
-    if rho.k != spec.k:
-        raise KMismatch("table k does not match the class k",
-                        table=rho.k, cls=spec.k)
-    key = (spec.a, spec.b, spec.k, canonical_key(rho), prune)
-    hit = _CLASS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    grid = MultisetRankGrid(rho)
-    witness = None
-    for a0, b0 in spec.targets:
-        witness = _detect(rho, a0, b0, prune=prune, grid=grid)
-        if witness is not None:
-            break
-    result = (witness is None, witness)
-    _CLASS_CACHE[key] = result
-    return result
+    """Membership plus, when outside, a witness minor in rho's labelling."""
+    witness, perm = _cached_witness(rho, spec, prune)
+    return witness is None, None if witness is None else _relabel(witness, perm)
 
 
 def is_excluded_minor(rho: RankTable, spec: ClassSpec) -> bool:
@@ -289,17 +305,20 @@ def doubleton_table_row(spec: ClassSpec, rank_e: int, rank_f: int, total: int) -
     return 4
 
 
-def doubleton_row_triples(spec: ClassSpec, rows: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """All valid doubleton triples (rank_e <= rank_f, total) falling in the
-    given classification rows."""
-    k = spec.k
-    out = []
+def doubleton_triples(k: int) -> Iterator[tuple[int, int, int]]:
+    """Every valid two-element triple (rank_e <= rank_f, total) at bound k,
+    ascending."""
     for rank_e in range(k + 1):
         for rank_f in range(rank_e, k + 1):
             for total in range(rank_f, rank_e + rank_f + 1):
-                if doubleton_table_row(spec, rank_e, rank_f, total) in rows:
-                    out.append((rank_e, rank_f, total))
-    return out
+                yield rank_e, rank_f, total
+
+
+def doubleton_row_triples(spec: ClassSpec, rows: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """All valid doubleton triples (rank_e <= rank_f, total) falling in the
+    given classification rows."""
+    return [triple for triple in doubleton_triples(spec.k)
+            if doubleton_table_row(spec, *triple) in rows]
 
 
 def enumerate_doubleton_excluded(spec: ClassSpec) -> list[ExcludedMinorRecord]:
@@ -312,18 +331,14 @@ def enumerate_doubleton_excluded(spec: ClassSpec) -> list[ExcludedMinorRecord]:
     land in the low band), a(a+1)(2a+1)/6 of them.
     """
     spec.require_regime()
-    k = spec.k
     records = []
-    for rank_e in range(k + 1):
-        for rank_f in range(rank_e, k + 1):
-            for total in range(rank_f, rank_e + rank_f + 1):
-                rho = doubleton(rank_e, rank_f, total, k)
-                if not is_excluded_minor(rho, spec):
-                    continue
-                _, witness = class_membership(rho, spec)
-                records.append(_record(
-                    rho, ("doubleton", doubleton_tag(rank_e, rank_f, total)),
-                    witness))
+    for triple in doubleton_triples(spec.k):
+        rho = doubleton(*triple, spec.k)
+        if not is_excluded_minor(rho, spec):
+            continue
+        _, witness = class_membership(rho, spec)
+        records.append(_record(rho, ("doubleton", doubleton_tag(*triple)),
+                               witness))
     return sorted(records, key=lambda r: (r.size, r.canonical))
 
 

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 
-from . import compression, decomposition, minors, polytope
+from . import compression, decomposition, minors, natural, polytope
 from .core import (
     DEFAULT_LABELS,
     RankTable,
@@ -99,25 +99,14 @@ def check_1_grid() -> CheckResult:
 
 # -- criterion 2 -------------------------------------------------------------
 
-def _lattice_max(points, counts) -> int:
-    best = 0
-    for b in points:
-        if all(x <= a for x, a in zip(b, counts)):
-            s = sum(b)
-            if s > best:
-                best = s
-    return best
-
-
 def check_2_commuting() -> CheckResult:
     t0 = time.perf_counter()
     tables = _random_tables(210, sizes=(3, 3, 3, 2, 2, 1), ks=(4, 3, 2, 4, 1, 4))
     for rho in tables:
         n, k = len(rho.labels), rho.k
-        points = polytope.lattice_points(rho)
         grid = MultisetRankGrid(rho)
         for counts in itertools.product(range(k + 1), repeat=n):
-            if grid.value_at(counts) != _lattice_max(points, counts):
+            if grid.value_at(counts) != natural.multiset_rank_oracle(rho, counts):
                 return _result("2", "commuting-diagram oracle", "properties", False,
                                f"grid/lattice mismatch at {counts} on {rho!r}", t0)
         if n * k <= 14:
@@ -200,18 +189,11 @@ def check_4_grid_duality() -> CheckResult:
                    "60 random tables, all grid points", t0)
 
 
-def _doubleton_triples(k: int):
-    for re_ in range(k + 1):
-        for rf in range(re_, k + 1):
-            for m in range(rf, re_ + rf + 1):
-                yield re_, rf, m
-
-
 def check_4_class_duality() -> CheckResult:
     t0 = time.perf_counter()
     for a, b, k in ((2, 4, 4), (3, 7, 8)):
         spec = ClassSpec(a, b, k)
-        for re_, rf, m in _doubleton_triples(k):
+        for re_, rf, m in minors.doubleton_triples(k):
             rho = doubleton(re_, rf, m, k)
             if minors.in_class(rho, spec) != minors.in_class(rho.dual(), spec):
                 return _result("4c", "class membership is k-duality invariant",
@@ -288,7 +270,7 @@ def check_6_count_formula() -> CheckResult:
 
 def _rows_by_class(spec: ClassSpec):
     rows = {i: [] for i in range(1, 8)}
-    for triple in _doubleton_triples(spec.k):
+    for triple in minors.doubleton_triples(spec.k):
         rows[minors.doubleton_table_row(spec, *triple)].append(triple)
     return rows
 
@@ -343,7 +325,7 @@ def check_7_row_coverage() -> CheckResult:
     t0 = time.perf_counter()
     for a, b, k in ((2, 4, 4), (3, 7, 8)):
         spec = ClassSpec(a, b, k)
-        for triple in _doubleton_triples(k):
+        for triple in minors.doubleton_triples(k):
             row = minors.doubleton_table_row(spec, *triple)
             if row not in range(1, 8):
                 return _result("7d", "every doubleton falls in exactly one row",
@@ -463,10 +445,9 @@ def check_9iii_glue() -> CheckResult:
             for m in (0, 1, 2):
                 if rho.k < 3 * m + 1:
                     continue
-                try:
-                    direct = decomposition.corner_decompose(rho, m)
-                except PmkitError:
+                if decomposition.essential_bound(rho)[0] > m:
                     continue
+                direct = decomposition.corner_decompose(rho, m)
                 via = decomposition.decompose_via_minors(rho, m)
                 if via.tau != direct.tau or via.sep != direct.sep:
                     return _result("9iii", "glued equals direct decomposition",
@@ -507,10 +488,8 @@ def check_9v_excluded_decompose() -> CheckResult:
                + minors.enumerate_doubleton_excluded(spec))
     failures = []
     for record in records:
-        try:
-            decomposition.corner_decompose(record.polymatroid, 2)
-        except PmkitError:
-            bound, _ = decomposition.essential_bound(record.polymatroid)
+        bound, _ = decomposition.essential_bound(record.polymatroid)
+        if bound > 2:
             failures.append((record.tags[1], bound))
     passed = not failures
     detail = ("all records decompose at n=2" if passed else

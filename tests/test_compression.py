@@ -52,6 +52,25 @@ class TestCompress:
                     assert (multiset_rank(out, (q,))
                             == grid.value_at((level, q)) - base)
 
+    def test_closed_form_matches_count_grid(self):
+        # result(A) = R(k on A, l on e) - R(l on e) on every |E| <= 3, k <= 4
+        for k in (1, 2, 3, 4):
+            for n in (1, 2, 3):
+                for rho in pk.iter_rank_tables(("e", "f", "g")[:n], k):
+                    for pos, name in enumerate(rho.labels):
+                        rest = [i for i in range(n) if i != pos]
+                        for level in range(k + 1):
+                            counts = [0] * n
+                            counts[pos] = level
+                            base = multiset_rank(rho, counts)
+                            expected = []
+                            for mask in range(1 << len(rest)):
+                                for j, i in enumerate(rest):
+                                    counts[i] = k if mask >> j & 1 else 0
+                                expected.append(multiset_rank(rho, counts) - base)
+                            out = pk.compress(rho, name, level)
+                            assert out.ranks == tuple(expected), (rho, name, level)
+
     def test_output_validates(self, random_tables):
         for rho in random_tables(20):
             for name in rho.labels:

@@ -1,3 +1,5 @@
+from functools import cache
+
 import pytest
 
 import pmkit as pk
@@ -5,6 +7,12 @@ from pmkit import errors
 from pmkit.decomposition import corner_regions_disjoint
 
 from conftest import LABELS
+
+
+@cache
+def tables_upto3(k):
+    """Every k-polymatroid with |E| <= 3."""
+    return [rho for n in range(4) for rho in pk.iter_rank_tables(LABELS[:n], k)]
 
 
 def _sep(labels, *coloops):
@@ -44,8 +52,9 @@ class TestCornerDecompose:
             assert d.sep.coloops == {"e", "f"}
 
     def test_midrank_singleton_not_decomposable(self):
-        with pytest.raises(errors.NotDecomposable):
+        with pytest.raises(errors.NotDecomposable) as exc:
             pk.corner_decompose(pk.singleton(4, 8), 1)
+        assert exc.value.details == {"n": 1, "element": "e", "marginal": 4}
 
     def test_uniqueness_regime_guard(self, example_rho):
         with pytest.raises(errors.UniquenessRegimeViolated):
@@ -114,6 +123,35 @@ class TestEssentialBound:
         level, d = pk.essential_bound(permu)
         assert level == 2 and d.sep.coloops == {"e", "f", "g"}
         assert d.tau.ranks == (0, 2, 2, 3, 2, 3, 3, 3)
+
+
+class TestClosedFormAgainstExhaustive:
+    """The closed forms against the exhaustive coloop scan, at every level."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_essential_bound_is_least_exhaustive_level(self, k):
+        for rho in tables_upto3(k):
+            level, d = pk.essential_bound(rho)
+            for n in range(k + 1):
+                found = pk.corner_decompose_exhaustive(rho, n)
+                assert bool(found) == (n >= level), (rho, n)
+                if n == level:
+                    assert d == found[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_rejects_exactly_below_the_bound(self, k):
+        for rho in tables_upto3(k):
+            level, _ = pk.essential_bound(rho)
+            for n in range((k - 1) // 2 + 1):
+                if n >= level:
+                    assert pk.corner_decompose(rho, n).reconstruct(k) == rho
+                    continue
+                with pytest.raises(errors.NotDecomposable) as exc:
+                    pk.corner_decompose(rho, n)
+                name = exc.value.details["element"]
+                marginal = rho.total_rank - rho.delete([name]).total_rank
+                assert exc.value.details["marginal"] == marginal
+                assert rho.rank_of([name]) > n and marginal < k - n
 
 
 class TestGlue:

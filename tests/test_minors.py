@@ -6,10 +6,11 @@ import pmkit as pk
 from pmkit import errors
 from pmkit.minors import (
     ClassSpec,
+    _compositions,
     doubleton_row_triples,
     doubleton_table_row,
 )
-from pmkit.natural import expanded_ranks
+from pmkit.natural import expanded_ranks, multiset_rank_oracle
 
 
 def naive_has_uniform_minor(rho, a0, b0):
@@ -32,6 +33,21 @@ def naive_has_uniform_minor(rho, a0, b0):
                    for sub in itertools.combinations(keep, a0)):
                 return True
     return False
+
+
+def witness_holds(rho, witness):
+    """Oracle: contracting witness.contract clones and keeping witness.keep
+    gives U(a0, b0), with ranks from the lattice-point maximization."""
+    a0, b0 = witness.target
+    contract, keep = witness.contract, witness.keep
+    base = multiset_rank_oracle(rho, contract)
+
+    def minor_rank(counts):
+        return multiset_rank_oracle(
+            rho, [c + y for c, y in zip(contract, counts)]) - base
+
+    return (sum(keep) == b0 and minor_rank(keep) == a0
+            and all(minor_rank(sub) == a0 for sub in _compositions(a0, keep)))
 
 
 class TestHasUniformMinor:
@@ -87,6 +103,39 @@ class TestNullityPrune:
             member, witness = pk.class_membership(rho, spec)
             if not member:
                 assert pk.nullity_prune(rho, witness.contract, spec)
+
+
+class TestClassCache:
+    def test_relabelled_isomorph_gets_its_own_witness(self):
+        # (0,2,0,2) and (0,0,2,2) are isomorphic; the second call is served
+        # by the cache and must carry a witness for its own labelling
+        spec = ClassSpec(2, 4, 4)
+        pk.minors._CLASS_CACHE.clear()
+        for ranks in ((0, 2, 0, 2), (0, 0, 2, 2)):
+            rho = pk.RankTable(("e", "f"), 4, ranks)
+            member, witness = pk.class_membership(rho, spec)
+            assert not member and witness_holds(rho, witness)
+        assert witness.keep == (0, 4)
+
+    def test_cached_witnesses_hold_on_every_relabelling(self, random_tables):
+        spec = ClassSpec(2, 4, 4)
+        pk.minors._CLASS_CACHE.clear()
+        for rho in random_tables(12, n=3, k=4):
+            for perm in itertools.permutations(rho.labels):
+                ranks = tuple(rho.rank_of(perm[i] for i in range(3) if mask >> i & 1)
+                              for mask in range(8))
+                shuffled = pk.RankTable(rho.labels, 4, ranks)
+                member, witness = pk.class_membership(shuffled, spec)
+                assert member == (witness is None)
+                assert member or witness_holds(shuffled, witness)
+
+    def test_in_class_verdicts_are_cached(self, monkeypatch):
+        spec = ClassSpec(2, 4, 4)
+        pk.minors._CLASS_CACHE.clear()
+        assert pk.class_membership(pk.doubleton(1, 3, 4, 4), spec) == (True, None)
+        monkeypatch.setattr(pk.minors, "_detect", None)  # no second detection
+        assert pk.class_membership(pk.doubleton(3, 1, 4, 4), spec) == (True, None)
+        assert pk.in_class(pk.doubleton(1, 3, 4, 4), spec)
 
 
 class TestInClass:
