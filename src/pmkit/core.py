@@ -381,24 +381,39 @@ def simplify(rho: RankTable) -> RankTable:
 
 # -- isomorphism -----------------------------------------------------------
 
-def _permuted_ranks(ranks: Sequence[int], perm: Sequence[int]) -> tuple[int, ...]:
-    """Rank vector after sending old position j to new position perm[j]."""
-    n = len(perm)
-    pre = [0] * (1 << n)
-    for mask in range(1 << n):
-        src = 0
-        for j in range(n):
-            if mask >> perm[j] & 1:
-                src |= 1 << j
-        pre[mask] = ranks[src]
-    return tuple(pre)
+def _gather(ranks: Sequence[int], at: Sequence[int]) -> tuple[int, ...]:
+    """Rank vector with new position p holding old position at[p]. The source
+    masks double once per position, so the whole vector costs O(2^n)."""
+    src = [0]
+    for j in at:
+        bit = 1 << j
+        src += [m | bit for m in src]
+    return tuple(map(ranks.__getitem__, src))
 
 
 def canonical_labelling(rho: RankTable) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Lexicographically least rank vector over all relabelings, with the least
-    permutation reaching it: position j of rho is position perm[j] there."""
-    return min((_permuted_ranks(rho.ranks, perm), perm)
-               for perm in itertools.permutations(range(len(rho.labels))))
+    permutation reaching it: position j of rho is position perm[j] there.
+
+    New position j's singleton rank sits at index 2^j, after every subset of
+    earlier positions, so swapping two positions whose singleton ranks are out
+    of order lowers the vector. Every least relabeling therefore sorts the
+    singleton ranks, and only those are compared: elements of equal singleton
+    rank permute among themselves.
+    """
+    rank_of = rho.singleton_ranks().__getitem__
+    cells = [tuple(cell) for _, cell in itertools.groupby(
+        sorted(range(len(rho.labels)), key=rank_of), key=rank_of)]
+    best = None
+    for choice in itertools.product(*map(itertools.permutations, cells)):
+        at = [j for cell in choice for j in cell]
+        perm = [0] * len(at)
+        for p, j in enumerate(at):
+            perm[j] = p
+        candidate = (_gather(rho.ranks, at), tuple(perm))
+        if best is None or candidate < best:
+            best = candidate
+    return best
 
 
 def canonical_form(rho: RankTable) -> tuple[int, ...]:
@@ -413,16 +428,17 @@ def canonical_key(rho: RankTable) -> tuple:
 def is_isomorphic(left: RankTable, right: RankTable) -> tuple[bool, dict[str, str] | None]:
     """Whether some relabeling carries left's ranks onto right's.
 
-    Returns the witness as a mapping from left labels to right labels.
+    Returns the witness as a mapping from left labels to right labels: both
+    canonical labellings land on the same positions.
     """
     if len(left.labels) != len(right.labels) or left.k != right.k:
         return False, None
-    for perm in itertools.permutations(range(len(left.labels))):
-        if _permuted_ranks(left.ranks, perm) == right.ranks:
-            mapping = {left.labels[j]: right.labels[perm[j]]
-                       for j in range(len(left.labels))}
-            return True, mapping
-    return False, None
+    left_form, left_perm = canonical_labelling(left)
+    right_form, right_perm = canonical_labelling(right)
+    if left_form != right_form:
+        return False, None
+    at = {p: name for name, p in zip(right.labels, right_perm)}
+    return True, {name: at[p] for name, p in zip(left.labels, left_perm)}
 
 
 # -- generation ------------------------------------------------------------

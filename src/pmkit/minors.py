@@ -8,19 +8,24 @@ isomorphism by two count vectors (how many clones of each element are
 contracted, and how many are kept), so the search space is the grid, not the
 2^(k|E|) subsets.
 
-A kept profile w with sum b0 yields the rank-a0 uniform matroid iff the minor
-rank of w is a0 and every sub-profile y <= w with sum a0 also has minor rank
-a0: smaller subsets are then free because they extend to an independent
-a0-subset, and larger ones are pinched between a0 and the total.
+Every minor of a matroid M is M/C\\D with C independent and D coindependent
+(Oxley, Matroid Theory, Lemma 3.3.2), so the contracted profile c can be
+taken with R(c) = |c| = r(M) - a0, and the kept profile w with sum b0 must
+span: R(c + w) = r(M). Such a w yields the rank-a0 uniform matroid iff every
+sub-profile y <= w with sum a0 also has R(c + y) = r(M): smaller subsets are
+then free because they extend to an independent a0-subset, and larger ones
+are pinched between a0 and the total. Ranks are read from one flat count
+grid by index arithmetic.
 
-Branches are pruned through nullity: minors never gain nullity, and a
-rank-a0, size-b0 uniform target needs nullity at least b0 - a0.
+Minors never gain nullity, and a rank-a0, size-b0 uniform target needs
+nullity b0 - a0, so a table whose expansion has nullity k|E| - r(M) below
+that is rejected before any profile is visited.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Iterator, Sequence
 
 from . import config
@@ -40,7 +45,7 @@ from .errors import (
     NonIntegerResult,
     RegimeViolated,
 )
-from .natural import MultisetRankGrid
+from .natural import MultisetRankGrid, multiset_rank
 
 Counts = tuple[int, ...]
 
@@ -117,46 +122,44 @@ def _compositions(total: int, limits: Sequence[int]) -> Iterator[Counts]:
     yield from rec(0, total, [])
 
 
+def _profiles(total: int, limits: Sequence[int],
+              strides: Sequence[int]) -> Iterator[tuple[Counts, int]]:
+    """The vectors of _compositions(total, limits), each with its flat grid
+    offset."""
+    for vec in _compositions(total, limits):
+        yield vec, sum(map(mul, vec, strides))
+
+
 def _detect(rho: RankTable, a0: int, b0: int, prune: bool = True,
             grid: MultisetRankGrid | None = None) -> MinorWitness | None:
-    """Find a uniform U(a0, b0) minor of the clone expansion, or None."""
+    """Find a uniform U(a0, b0) minor of the clone expansion, or None.
+
+    Only normal-form minors are visited: contract profiles c with
+    R(c) = |c| = r - a0, and keep profiles w with |w| = b0 and
+    R(c + w) = r, where r = rho(E) is the rank of the expansion.
+    """
     if not 0 <= a0 <= b0:
         raise InvalidParams("need 0 <= a0 <= b0", a0=a0, b0=b0)
     n = len(rho.labels)
     k = rho.k
-    if b0 > n * k:
+    rank = rho.total_rank
+    if b0 > n * k or a0 > rank:
+        return None
+    if prune and n * k - rank < b0 - a0:
+        # minors never gain nullity
         return None
     if grid is None:
         grid = MultisetRankGrid(rho)
-    total_rank = grid.value_at((k,) * n) if n else 0
-    total_size = n * k
-    for contract in _compositions_upto(n, k):
-        base = grid.value_at(contract)
-        if prune:
-            # contracted branch: nullity and rank can only shrink further
-            branch_size = total_size - sum(contract)
-            branch_rank = total_rank - base
-            if branch_size - branch_rank < b0 - a0 or branch_rank < a0:
-                continue
-        limits = [k - c for c in contract]
-        for keep in _compositions(b0, limits):
-            merged = tuple(c + w for c, w in zip(contract, keep))
-            if grid.value_at(merged) - base != a0:
-                continue
-            if all(grid.value_at(tuple(c + y for c, y in zip(contract, sub))) - base == a0
-                   for sub in _compositions(a0, keep)):
+    values, strides = grid.values, grid.strides
+    for contract, ci in _profiles(rank - a0, (k,) * n, strides):
+        if values[ci] != rank - a0:
+            continue
+        for keep, wi in _profiles(b0, [k - c for c in contract], strides):
+            if values[ci + wi] == rank and all(
+                    values[ci + yi] == rank
+                    for _, yi in _profiles(a0, keep, strides)):
                 return MinorWitness(contract=contract, keep=keep, target=(a0, b0))
     return None
-
-
-def _compositions_upto(n: int, k: int) -> Iterator[Counts]:
-    """All count vectors in [0, k]^n, ascending by total then lex."""
-    if n == 0:
-        yield ()
-        return
-    all_counts = sorted(itertools.product(range(k + 1), repeat=n),
-                        key=lambda c: (sum(c), c))
-    yield from all_counts
 
 
 def has_uniform_minor(rho: RankTable, a0: int, b0: int,
@@ -169,11 +172,9 @@ def nullity_prune(rho: RankTable, contract: Sequence[int], spec: ClassSpec) -> b
     """Whether the branch contracting these clone counts can still reach either
     forbidden minor. False means safe to prune: both targets need nullity at
     least a, and nullity never grows under further minors."""
-    grid = MultisetRankGrid(rho)
-    n = len(rho.labels)
     contract = tuple(contract)
-    branch_size = n * rho.k - sum(contract)
-    branch_rank = grid.value_at((rho.k,) * n) - grid.value_at(contract) if n else 0
+    branch_rank = rho.total_rank - multiset_rank(rho, contract)
+    branch_size = len(rho.labels) * rho.k - sum(contract)
     return branch_size - branch_rank >= spec.a
 
 

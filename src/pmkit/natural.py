@@ -11,7 +11,14 @@ grid [0,k]^E:
 * ``multiset_rank_oracle`` recomputes it as the largest coordinate sum of an
   independence-polytope lattice point dominated by the counts, and is kept
   solely as a cross-check;
-* ``MultisetRankGrid`` memoizes the (k+1)^|E| values for search workloads.
+* ``MultisetRankGrid`` holds all (k+1)^|E| values in one flat list in the
+  lexicographic order of the grid (last coordinate fastest), filled once at
+  construction by eliminating one coordinate at a time:
+
+      T_j(c_1..c_j, B) = min(T_{j-1}(c_<j, B+j), T_{j-1}(c_<j, B) + c_j)
+
+  for B inside {j+1..n}, from T_0 = rho to T_n = R, in
+  sum_j (k+1)^j 2^(n-j) steps instead of (k+1)^n 2^n.
 
 The expanded matroid is only ever materialized inside ``clone_check`` and the
 test oracles, at k*|E| <= 16.
@@ -19,6 +26,7 @@ test oracles, at k*|E| <= 16.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from . import polytope
@@ -28,13 +36,8 @@ from .errors import OutOfGrid, TooLarge, UnknownElement
 Counts = tuple[int, ...]
 CloneElement = tuple[str, int]
 
-
-def zero_counts(rho: RankTable) -> Counts:
-    return (0,) * len(rho.labels)
-
-
-def full_counts(rho: RankTable) -> Counts:
-    return (rho.k,) * len(rho.labels)
+GRID_LIMIT = 1 << 22  # points of one count grid
+EXPANSION_LIMIT = 16  # clones of one explicit expansion
 
 
 def counts_of_subset(rho: RankTable, mask: int) -> Counts:
@@ -116,73 +119,52 @@ def minor_multiset_rank(grid: "MultisetRankGrid", contract: Sequence[int],
 
 
 class MultisetRankGrid:
-    """Memoized multiset ranks on [0,k]^E.
+    """Multiset ranks on [0,k]^E, all computed at construction.
 
-    Entries are written once and never change, so concurrent readers are safe;
-    every path computes the same pure function of rho. ``fill`` populates the
-    whole grid eagerly, ``value_at`` fills per entry on demand.
+    ``values`` is flat in lexicographic order: the point c sits at index
+    sum of c_i * strides[i]. Entries never change after construction, so
+    concurrent readers are safe. ``value_at`` is the validating lookup;
+    callers that build their own in-range indices read ``values`` directly.
     """
 
-    __slots__ = ("rho", "_values", "_strides", "_terms")
+    __slots__ = ("rho", "values", "strides")
 
-    def __init__(self, rho: RankTable, eager: bool = False):
+    def __init__(self, rho: RankTable):
+        n, side = len(rho.labels), rho.k + 1
+        if side ** n > GRID_LIMIT:
+            raise TooLarge(f"count grid has {side}^{n} points; limit is {GRID_LIMIT}",
+                           points=side ** n)
         self.rho = rho
-        n = len(rho.labels)
-        self._strides = tuple((rho.k + 1) ** i for i in range(n))
-        self._values: list[int | None] = [None] * ((rho.k + 1) ** n)
-        # (rank of B, indices outside B) pairs, one per subset
-        self._terms = tuple(
-            (rho.ranks[mask], tuple(i for i in range(n) if not mask >> i & 1))
-            for mask in range(1 << n))
-        if eager:
-            self.fill()
-
-    def _index(self, counts: Counts) -> int:
-        return sum(a * s for a, s in zip(counts, self._strides))
+        self.strides = tuple(side ** (n - 1 - i) for i in range(n))
+        # table j: (counts of elements < j, subset of elements >= j), the
+        # subset's lowest bit being element j; each pass strides over the
+        # count prefixes so that the comprehensions stay long
+        table = list(rho.ranks)
+        for j in range(n):
+            width = 1 << (n - j)
+            half = width >> 1
+            nxt = [0] * (len(table) // 2 * side)
+            for b in range(half):
+                inside, outside = table[2 * b + 1::width], table[2 * b::width]
+                for c in range(side):
+                    nxt[c * half + b::side * half] = [
+                        a if a <= o + c else o + c for a, o in zip(inside, outside)]
+            table = nxt
+        self.values = table
 
     def value_at(self, counts: Sequence[int]) -> int:
         counts = _check_counts(self.rho, counts)
-        idx = self._index(counts)
-        value = self._values[idx]
-        if value is None:
-            value = min(base + sum(counts[i] for i in outside)
-                        for base, outside in self._terms)
-            self._values[idx] = value
-        return value
-
-    def fill(self) -> None:
-        for counts in self.iter_counts():
-            self.value_at(counts)
+        return self.values[sum(a * s for a, s in zip(counts, self.strides))]
 
     def iter_counts(self) -> Iterator[Counts]:
         """Grid points in lexicographic order."""
-        n = len(self.rho.labels)
-        counts = [0] * n
-        while True:
-            yield tuple(counts)
-            for i in range(n - 1, -1, -1):
-                if counts[i] < self.rho.k:
-                    counts[i] += 1
-                    for j in range(i + 1, n):
-                        counts[j] = 0
-                    break
-            else:
-                return
+        return itertools.product(range(self.rho.k + 1), repeat=len(self.rho.labels))
 
     def rows(self) -> Iterator[tuple[Counts, int]]:
-        for counts in self.iter_counts():
-            yield counts, self.value_at(counts)
+        return zip(self.iter_counts(), self.values)
 
 
 # -- explicit expansion (oracle scale only) ---------------------------------
-
-EXPANSION_LIMIT = 16
-
-
-def clone_labels(rho: RankTable) -> tuple[CloneElement, ...]:
-    """Ground set of the expansion: k clones per element, in ground order."""
-    return tuple((name, i) for name in rho.labels for i in range(1, rho.k + 1))
-
 
 def expanded_ranks(rho: RankTable) -> list[int]:
     """Dense rank vector of the clone expansion, indexed by subset bitmask.

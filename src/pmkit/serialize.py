@@ -69,11 +69,6 @@ def load_polymatroid(path: str) -> RankTable:
         return loads_polymatroid(handle.read())
 
 
-def save_polymatroid(path: str, rho: RankTable) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps_polymatroid(rho))
-
-
 # -- catalogs ---------------------------------------------------------------
 
 def catalog_to_dict(spec: ClassSpec, records: Sequence[ExcludedMinorRecord],

@@ -1,10 +1,11 @@
+import itertools
 import threading
 
 import pytest
 
 import pmkit as pk
 from pmkit import errors
-from pmkit.natural import MultisetRankGrid
+from pmkit.natural import MultisetRankGrid, multiset_rank
 
 
 def test_max_elements_env_override(monkeypatch):
@@ -36,7 +37,8 @@ def test_bad_env_value_falls_back(monkeypatch):
 
 def test_grid_concurrent_readers_agree(example_rho):
     grid = MultisetRankGrid(example_rho)
-    reference = {c: v for c, v in MultisetRankGrid(example_rho, eager=True).rows()}
+    reference = {c: multiset_rank(example_rho, c)
+                 for c in itertools.product(range(4), repeat=2)}
     failures = []
 
     def reader():

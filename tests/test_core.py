@@ -257,6 +257,38 @@ class TestIsomorphism:
                                    for m in range(8)))
             assert pk.canonical_form(rho) == min(forms)
 
+    def test_canonical_labelling_matches_all_permutations(self, rng):
+        # only singleton-sorted relabelings are compared; the n! minimum
+        # over (form, permutation) pairs must be the same. Some |E|=4, k=2
+        # tables reach the least form through several relabelings, so the
+        # least permutation has to be chosen by comparison.
+        tables = [rho for n in range(4) for k in range(4)
+                  for rho in pk.iter_rank_tables(LABELS[:n], k)]
+        tables += [rho for k in (1, 2)
+                   for rho in pk.iter_rank_tables(pk.core.DEFAULT_LABELS[:4], k)]
+        tables += [pk.random_rank_table(pk.core.DEFAULT_LABELS[:n], k, rng)
+                   for n, k in ((5, 3), (5, 2), (6, 2), (6, 1)) for _ in range(3)]
+        for rho in tables:
+            n = len(rho.labels)
+            expected = min(
+                (tuple(rho.ranks[_apply_perm(m, perm)] for m in range(1 << n)), perm)
+                for perm in itertools.permutations(range(n)))
+            assert pk.core.canonical_labelling(rho) == expected
+
+    def test_mapping_carries_ranks(self, random_tables, rng):
+        for rho in random_tables(20, k=2):
+            perm = list(range(3))
+            rng.shuffle(perm)
+            shuffled = pk.RankTable(
+                LABELS, rho.k,
+                tuple(rho.ranks[_apply_perm(m, perm)] for m in range(8)))
+            same, mapping = pk.is_isomorphic(rho, shuffled)
+            assert same
+            for mask in range(8):
+                image = [mapping[name] for name in rho.labels
+                         if mask >> rho.labels.index(name) & 1]
+                assert shuffled.rank_of(image) == rho.rank(mask)
+
 
 def _apply_perm(mask, perm):
     out = 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -6,11 +7,14 @@ import pmkit as pk
 from pmkit import errors
 from pmkit.minors import (
     ClassSpec,
+    MinorWitness,
     _compositions,
     doubleton_row_triples,
     doubleton_table_row,
 )
-from pmkit.natural import expanded_ranks, multiset_rank_oracle
+from pmkit.natural import expanded_ranks, multiset_rank, multiset_rank_oracle
+
+from conftest import LABELS
 
 
 def naive_has_uniform_minor(rho, a0, b0):
@@ -35,19 +39,42 @@ def naive_has_uniform_minor(rho, a0, b0):
     return False
 
 
-def witness_holds(rho, witness):
+def witness_holds(rho, witness, rank=None):
     """Oracle: contracting witness.contract clones and keeping witness.keep
-    gives U(a0, b0), with ranks from the lattice-point maximization."""
+    gives U(a0, b0), with ranks from the lattice-point maximization (or from
+    a memo of it passed as rank)."""
+    if rank is None:
+        rank = functools.partial(multiset_rank_oracle, rho)
     a0, b0 = witness.target
     contract, keep = witness.contract, witness.keep
-    base = multiset_rank_oracle(rho, contract)
+    base = rank(contract)
 
     def minor_rank(counts):
-        return multiset_rank_oracle(
-            rho, [c + y for c, y in zip(contract, counts)]) - base
+        return rank(tuple(c + y for c, y in zip(contract, counts))) - base
 
     return (sum(keep) == b0 and minor_rank(keep) == a0
             and all(minor_rank(sub) == a0 for sub in _compositions(a0, keep)))
+
+
+def sweep_detect(rho, a0, b0, rank):
+    """Oracle: every contract profile of the grid, ascending by total, and
+    every keep profile with sum b0 under it; rank maps a count tuple to its
+    multiset rank."""
+    n, k = len(rho.labels), rho.k
+    if b0 > n * k:
+        return None
+    for contract in sorted(itertools.product(range(k + 1), repeat=n),
+                           key=lambda c: (sum(c), c)):
+        base = rank(contract)
+
+        def minor_rank(counts):
+            return rank(tuple(c + y for c, y in zip(contract, counts))) - base
+
+        for keep in _compositions(b0, [k - c for c in contract]):
+            if minor_rank(keep) == a0 and all(
+                    minor_rank(sub) == a0 for sub in _compositions(a0, keep)):
+                return MinorWitness(contract, keep, (a0, b0))
+    return None
 
 
 class TestHasUniformMinor:
@@ -85,6 +112,31 @@ class TestHasUniformMinor:
             for a0, b0 in ((2, 4), (2, 5), (3, 6)):
                 assert (pk.has_uniform_minor(rho, a0, b0, prune=True)[0]
                         == pk.has_uniform_minor(rho, a0, b0, prune=False)[0])
+
+
+class TestNormalFormDetector:
+    def test_existence_matches_full_sweep(self):
+        # every table with |E| <= 3, k <= 3 and every 0 <= a0 <= b0 <= 5;
+        # each witness is in normal form: R(c) = |c| = r - a0
+        cases = 0
+        for n in range(4):
+            for k in range(4):
+                for rho in pk.iter_rank_tables(LABELS[:n], k):
+                    rank = functools.cache(functools.partial(multiset_rank, rho))
+                    oracle = functools.cache(
+                        functools.partial(multiset_rank_oracle, rho))
+                    for b0 in range(6):
+                        for a0 in range(b0 + 1):
+                            cases += 1
+                            found, witness = pk.has_uniform_minor(rho, a0, b0)
+                            expected = sweep_detect(rho, a0, b0, rank)
+                            assert found == (expected is not None)
+                            if found:
+                                contract = witness.contract
+                                assert witness_holds(rho, witness, oracle)
+                                assert (oracle(contract) == sum(contract)
+                                        == rho.total_rank - a0)
+        assert cases == 732 * 21
 
 
 class TestNullityPrune:

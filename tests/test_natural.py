@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import pmkit as pk
-from pmkit import errors
+from pmkit import errors, natural
 from pmkit.natural import (
     MultisetRankGrid,
     clone_check,
@@ -104,11 +104,29 @@ class TestNaturalRank:
 
 
 class TestGrid:
-    def test_lazy_and_eager_agree(self, example_rho):
-        lazy = MultisetRankGrid(example_rho)
-        eager = MultisetRankGrid(example_rho, eager=True)
+    def test_grid_matches_multiset_rank(self, example_rho):
+        grid = MultisetRankGrid(example_rho)
         for counts in EXAMPLE_GRID:
-            assert lazy.value_at(counts) == eager.value_at(counts)
+            assert grid.value_at(counts) == multiset_rank(example_rho, counts)
+
+    def test_flat_grid_matches_multiset_rank_on_random_tables(self, rng):
+        labels = pk.core.DEFAULT_LABELS
+        for n, k in ((1, 5), (2, 4), (3, 4), (4, 3), (5, 2), (6, 2), (6, 1)):
+            for _ in range(3):
+                rho = pk.random_rank_table(labels[:n], k, rng)
+                grid = MultisetRankGrid(rho)
+                points = list(itertools.product(range(k + 1), repeat=n))
+                assert len(grid.values) == len(points)
+                for index, counts in enumerate(points):
+                    assert grid.values[index] == multiset_rank(rho, counts)
+
+    def test_grid_guard(self, example_rho, monkeypatch):
+        with pytest.raises(errors.TooLarge):
+            MultisetRankGrid(pk.singleton(1, natural.GRID_LIMIT))
+        monkeypatch.setattr(natural, "GRID_LIMIT", 16)
+        assert len(MultisetRankGrid(example_rho).values) == 16
+        with pytest.raises(errors.TooLarge):
+            MultisetRankGrid(pk.singleton(1, 16))
 
     def test_rows_lexicographic(self, example_rho):
         rows = list(MultisetRankGrid(example_rho).rows())
