@@ -12,10 +12,11 @@ expansion depend on it, and it may exceed every singleton rank.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import config
 from .errors import (
@@ -186,8 +187,7 @@ class RankTable:
         gone = mask_of(self.labels, names)
         keep = [i for i in range(len(self.labels)) if not gone >> i & 1]
         labels = tuple(self.labels[i] for i in keep)
-        ranks = tuple(self.ranks[_spread(mask, keep)] for mask in range(1 << len(keep)))
-        return RankTable._trusted(labels, self.k, ranks)
+        return RankTable._trusted(labels, self.k, _gather(self.ranks, keep))
 
     def contract(self, names: Iterable[str]) -> "RankTable":
         """rho'(Y) = rho(X + Y) - rho(X) on the complement of X."""
@@ -195,8 +195,7 @@ class RankTable:
         base = self.ranks[gone]
         keep = [i for i in range(len(self.labels)) if not gone >> i & 1]
         labels = tuple(self.labels[i] for i in keep)
-        ranks = tuple(self.ranks[_spread(mask, keep) | gone] - base
-                      for mask in range(1 << len(keep)))
+        ranks = tuple(r - base for r in _gather(self.ranks, keep, gone))
         return RankTable._trusted(labels, self.k, ranks)
 
     def restrict(self, names: Iterable[str]) -> "RankTable":
@@ -264,15 +263,6 @@ class RankTable:
 
 def _popcount(mask: int) -> int:
     return mask.bit_count()
-
-
-def _spread(mask: int, positions: Sequence[int]) -> int:
-    """Map a compact bitmask onto the given original bit positions."""
-    out = 0
-    for j, pos in enumerate(positions):
-        if mask >> j & 1:
-            out |= 1 << pos
-    return out
 
 
 # -- construction ---------------------------------------------------------
@@ -381,10 +371,12 @@ def simplify(rho: RankTable) -> RankTable:
 
 # -- isomorphism -----------------------------------------------------------
 
-def _gather(ranks: Sequence[int], at: Sequence[int]) -> tuple[int, ...]:
-    """Rank vector with new position p holding old position at[p]. The source
-    masks double once per position, so the whole vector costs O(2^n)."""
-    src = [0]
+def _gather(ranks: Sequence[int], at: Sequence[int],
+            start: int = 0) -> tuple[int, ...]:
+    """Rank vector with new position p holding old position at[p], each source
+    mask joined with ``start``. The source masks double once per position, so
+    the whole vector costs O(2^n)."""
+    src = [start]
     for j in at:
         bit = 1 << j
         src += [m | bit for m in src]
@@ -443,57 +435,79 @@ def is_isomorphic(left: RankTable, right: RankTable) -> tuple[bool, dict[str, st
 
 # -- generation ------------------------------------------------------------
 
-def _subset_order(n: int) -> list[int]:
-    return sorted(range(1, 1 << n), key=lambda m: (_popcount(m), m))
+@functools.lru_cache(maxsize=None)
+def _plan(n: int) -> tuple[tuple[int, tuple[int, ...],
+                                 tuple[tuple[int, int, int], ...]], ...]:
+    """For each nonempty mask in generation order: the mask, the masks one
+    element smaller, and its submodularity triples (A+e, A+f, A) over the
+    pairs {e, f} of its members."""
+    plan = []
+    for mask in sorted(range(1, 1 << n), key=lambda m: (_popcount(m), m)):
+        bits = [1 << i for i in range(n) if mask >> i & 1]
+        plan.append((mask, tuple(mask ^ bit for bit in bits),
+                     tuple((mask ^ f, mask ^ e, mask ^ e ^ f)
+                           for e, f in itertools.combinations(bits, 2))))
+    return tuple(plan)
 
 
-def _bounds(mask: int, n: int, k: int, ranks: list[int]) -> tuple[int, int]:
-    """Feasible range for ranks[mask] given all smaller subsets are set."""
-    members = [i for i in range(n) if mask >> i & 1]
-    if len(members) == 1:
+def _bounds(step: tuple, k: int, ranks: list[int]) -> tuple[int, int]:
+    """Feasible range for the rank of step's mask given all smaller subsets
+    are set: at least each mask one element smaller, at most each
+    rho(A+e) + rho(A+f) - rho(A). A singleton's range is [0, k]."""
+    _, lower, triples = step
+    if not triples:
         return 0, k
-    lo = max(ranks[mask ^ (1 << i)] for i in members)
-    hi = min(ranks[mask ^ (1 << i)] + ranks[mask ^ (1 << j)]
-             - ranks[mask ^ (1 << i) ^ (1 << j)]
-             for i, j in itertools.combinations(members, 2))
-    return lo, hi
+    return (max(map(ranks.__getitem__, lower)),
+            min([ranks[x] + ranks[y] - ranks[z] for x, y, z in triples]))
 
 
 def iter_rank_tables(labels: Sequence[str], k: int, *,
                      budget: int | None = None,
-                     counter: list[int] | None = None) -> Iterator[RankTable]:
+                     counter: list[int] | None = None,
+                     admit: Callable[[int, list[int]], bool] | None = None,
+                     ) -> Iterator[RankTable]:
     """Yield every k-polymatroid on the given labels, depth-first in rank-vector
-    lex order. Monotonicity and submodularity are propagated as bounds during
-    generation, so no post-filtering happens.
+    lex order. Subsets get their ranks in (popcount, mask) order, with
+    monotonicity and submodularity propagated as bounds, so no post-filtering
+    happens.
 
-    ``counter`` (a one-element list) accumulates nodes; exceeding ``budget``
-    raises SearchBudgetExceeded.
+    ``admit(mask, ranks)`` is called right after a proper nonempty subset gets
+    its rank. Every subset of it already has one, so its restriction is fixed;
+    ``ranks`` is the working list, to be read and not kept. If it returns
+    False, the walk does not enter that subtree.
+
+    ``counter`` (a one-element list) accumulates nodes: one per rank value
+    tried, whether admitted or not, and one per table yielded. Exceeding
+    ``budget`` raises SearchBudgetExceeded.
     """
     labels = tuple(labels)
     _check_ground(labels)
-    n = len(labels)
-    order = _subset_order(n)
-    ranks = [0] * (1 << n)
+    plan = _plan(len(labels))
+    proper = len(plan) - 1  # the full set comes last
+    ranks = [0] * (1 << len(labels))
     if counter is None:
         counter = [0]
 
     def walk(depth: int) -> Iterator[RankTable]:
-        if depth == len(order):
+        if depth == len(plan):
             counter[0] += 1
             if budget is not None and counter[0] > budget:
                 raise SearchBudgetExceeded("table generation exceeded node budget",
                                            nodes=counter[0])
             yield RankTable._trusted(labels, k, tuple(ranks))
             return
-        mask = order[depth]
-        lo, hi = _bounds(mask, n, k, ranks)
+        step = plan[depth]
+        mask = step[0]
+        lo, hi = _bounds(step, k, ranks)
+        screen = admit if depth < proper else None
         for value in range(lo, hi + 1):
             counter[0] += 1
             if budget is not None and counter[0] > budget:
                 raise SearchBudgetExceeded("table generation exceeded node budget",
                                            nodes=counter[0])
             ranks[mask] = value
-            yield from walk(depth + 1)
+            if screen is None or screen(mask, ranks):
+                yield from walk(depth + 1)
         ranks[mask] = 0
 
     return walk(0)
@@ -503,18 +517,15 @@ def random_rank_table(labels: Sequence[str], k: int,
                       rng: random.Random) -> RankTable:
     """A random valid table via random descent with restarts on dead branches."""
     labels = tuple(labels)
-    n = len(labels)
-    order = _subset_order(n)
+    plan = _plan(len(labels))
     while True:
-        ranks = [0] * (1 << n)
-        ok = True
-        for mask in order:
-            lo, hi = _bounds(mask, n, k, ranks)
+        ranks = [0] * (1 << len(labels))
+        for step in plan:
+            lo, hi = _bounds(step, k, ranks)
             if lo > hi:
-                ok = False
                 break
-            ranks[mask] = rng.randint(lo, hi)
-        if ok:
+            ranks[step[0]] = rng.randint(lo, hi)
+        else:
             return RankTable._trusted(labels, k, tuple(ranks))
 
 

@@ -32,6 +32,7 @@ from . import config
 from .core import (
     DEFAULT_LABELS,
     RankTable,
+    _gather,
     canonical_form,
     canonical_key,
     canonical_labelling,
@@ -353,14 +354,27 @@ def count_formula(a: int, k: int) -> int:
 
 # -- exhaustive search -------------------------------------------------------
 
+def _admit_in_class(spec: ClassSpec, labels: Sequence[str]):
+    """The iter_rank_tables ``admit`` predicate: the restriction to a subset,
+    fixed once the subset has its rank, is in the class. The class is
+    minor-closed, so a pruned subtree holds no excluded minor."""
+    def admit(mask: int, ranks: list[int]) -> bool:
+        at = [i for i in range(len(labels)) if mask >> i & 1]
+        restriction = RankTable._trusted(tuple(labels[i] for i in at), spec.k,
+                                         _gather(ranks, at))
+        return in_class(restriction, spec)
+
+    return admit
+
+
 def _search_one_size(spec: ClassSpec, n: int, budget: int,
                      counter: list[int]) -> dict[tuple, ExcludedMinorRecord]:
     found: dict[tuple, ExcludedMinorRecord] = {}
     labels = DEFAULT_LABELS[:n]
-    for rho in iter_rank_tables(labels, spec.k, budget=budget, counter=counter):
-        if not all(in_class(rho.delete([name]), spec)
-                   and in_class(rho.contract([name]), spec)
-                   for name in rho.labels):
+    for rho in iter_rank_tables(labels, spec.k, budget=budget, counter=counter,
+                                admit=_admit_in_class(spec, labels)):
+        # every proper restriction was admitted; the contractions remain
+        if not all(in_class(rho.contract([name]), spec) for name in labels):
             continue
         member, witness = class_membership(rho, spec)
         if member:
@@ -379,13 +393,17 @@ def _search_task(args) -> list[ExcludedMinorRecord]:
 def search_excluded(spec: ClassSpec, max_elements: int | None = None,
                     budget: int | None = None,
                     jobs: int = 1) -> list[ExcludedMinorRecord]:
-    """Enumerate every k-polymatroid on up to max_elements elements and keep
-    the excluded minors, deduplicated up to isomorphism.
+    """Enumerate the k-polymatroids on up to max_elements elements that can
+    be excluded minors and keep those that are, deduplicated up to
+    isomorphism.
 
     Candidate tables are generated with monotonicity/submodularity propagated
-    as branch bounds. Each surviving table is first screened through its
-    single-element minors (cached by canonical form) before the expensive
-    membership test runs on the table itself.
+    as branch bounds. A subtree is skipped as soon as the restriction to a
+    proper subset, fixed once that subset has its rank, falls outside the
+    class (membership is cached by canonical form). A table that is reached
+    therefore has all its deletions in the class; it is screened through its
+    single-element contractions before the membership test runs on the table
+    itself. The budget counts only the nodes the walk tries.
 
     With jobs > 1, ground-set sizes run in separate worker processes (the
     budget then applies per worker task); results are merged and sorted, so

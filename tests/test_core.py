@@ -120,6 +120,23 @@ class TestMinors:
                     assert (rho.contract(xs).delete(ys)
                             == rho.delete(ys).contract(xs))
 
+    def test_minors_match_the_definition(self, rng):
+        # every deleted/contracted set X of random four-element tables:
+        # rho\X(Y) = rho(Y) and rho/X(Y) = rho(X + Y) - rho(X)
+        labels = pk.core.DEFAULT_LABELS[:4]
+        for _ in range(10):
+            rho = pk.random_rank_table(labels, 3, rng)
+            for gone in range(16):
+                xs = [labels[i] for i in range(4) if gone >> i & 1]
+                rest = [name for name in labels if name not in xs]
+                deleted, contracted = rho.delete(xs), rho.contract(xs)
+                assert deleted.labels == contracted.labels == tuple(rest)
+                for mask in range(1 << len(rest)):
+                    ys = [rest[j] for j in range(len(rest)) if mask >> j & 1]
+                    assert deleted.rank(mask) == rho.rank_of(ys)
+                    assert (contracted.rank(mask)
+                            == rho.rank_of(xs + ys) - rho.rank_of(xs))
+
     def test_commute_on_three_elements(self, random_tables):
         for rho in random_tables(25):
             for a, b in disjoint_subset_pairs(3):
@@ -290,6 +307,40 @@ class TestIsomorphism:
                 assert shuffled.rank_of(image) == rho.rank(mask)
 
 
+def _per_node_bounds_walk(n, k):
+    """Oracle: the generation walk with the bounds rebuilt from the member
+    list at every node; returns the rank vectors and the node count."""
+    order = sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), m))
+    ranks = [0] * (1 << n)
+    out, nodes = [], [0]
+
+    def bounds(mask):
+        members = [i for i in range(n) if mask >> i & 1]
+        if len(members) == 1:
+            return 0, k
+        lo = max(ranks[mask ^ (1 << i)] for i in members)
+        hi = min(ranks[mask ^ (1 << i)] + ranks[mask ^ (1 << j)]
+                 - ranks[mask ^ (1 << i) ^ (1 << j)]
+                 for i, j in itertools.combinations(members, 2))
+        return lo, hi
+
+    def walk(depth):
+        if depth == len(order):
+            nodes[0] += 1
+            out.append(tuple(ranks))
+            return
+        mask = order[depth]
+        lo, hi = bounds(mask)
+        for value in range(lo, hi + 1):
+            nodes[0] += 1
+            ranks[mask] = value
+            walk(depth + 1)
+        ranks[mask] = 0
+
+    walk(0)
+    return out, nodes[0]
+
+
 def _apply_perm(mask, perm):
     out = 0
     for j in range(len(perm)):
@@ -313,6 +364,48 @@ class TestGeneration:
     def test_budget_exceeded(self):
         with pytest.raises(errors.SearchBudgetExceeded):
             list(pk.iter_rank_tables(("e", "f", "g"), 4, budget=50))
+
+    def test_walk_matches_per_node_bounds(self):
+        # without admit: the same rank vectors, in the same order, and the
+        # same node count as bounds recomputed from the members at every node
+        for n, ks in ((0, range(5)), (1, range(5)), (2, range(5)),
+                      (3, range(5)), (4, range(3))):
+            for k in ks:
+                counter = [0]
+                walked = [rho.ranks for rho in pk.iter_rank_tables(
+                    pk.core.DEFAULT_LABELS[:n], k, counter=counter)]
+                expected, nodes = _per_node_bounds_walk(n, k)
+                assert walked == expected
+                assert counter[0] == nodes
+
+    def test_admit_skips_subtrees(self):
+        # a rejected value counts one node and its subtree is never entered
+        counter = [0]
+        assert list(pk.iter_rank_tables(("e", "f"), 2, counter=counter,
+                                        admit=lambda mask, ranks: False)) == []
+        assert counter[0] == 3
+
+    def test_admit_sees_fixed_proper_restrictions(self):
+        # admit is asked about every proper nonempty subset on the way down,
+        # and the restriction it sees is the one of every table below it;
+        # pruning on one subset keeps exactly the tables that pass, in order
+        labels = ("e", "f", "g")
+        seen = {}
+
+        def admit(mask, ranks):
+            seen[mask] = [ranks[sub] for sub in range(8) if sub & ~mask == 0]
+            return mask != 3 or ranks[3] != 1
+
+        pruned = []
+        for rho in pk.iter_rank_tables(labels, 2, admit=admit):
+            pruned.append(rho.ranks)
+            assert sorted(seen) == [1, 2, 3, 4, 5, 6]
+            for mask, restriction in seen.items():
+                assert restriction == [rho.ranks[sub] for sub in range(8)
+                                       if sub & ~mask == 0]
+        expected = [rho.ranks for rho in pk.iter_rank_tables(labels, 2)
+                    if rho.ranks[3] != 1]
+        assert pruned == expected
 
     def test_random_tables_valid(self, random_tables):
         for rho in random_tables(50):

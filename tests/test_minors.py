@@ -374,6 +374,88 @@ class TestSearch:
             pk.search_excluded(ClassSpec(2, 4, 4), max_elements=9)
 
 
+def unpruned_search(spec, max_elements):
+    """Oracle: the excluded-minor search over every generated table, each
+    screened through all its single-element deletions and contractions."""
+    found = {}
+    for n in range(max_elements + 1):
+        for rho in pk.iter_rank_tables(pk.core.DEFAULT_LABELS[:n], spec.k):
+            if not all(pk.in_class(rho.delete([name]), spec)
+                       and pk.in_class(rho.contract([name]), spec)
+                       for name in rho.labels):
+                continue
+            member, witness = pk.class_membership(rho, spec)
+            if not member:
+                found.setdefault(pk.canonical_key(rho),
+                                 (rho, pk.canonical_form(rho), witness))
+    return sorted(found.values(), key=lambda entry: (len(entry[0].labels), entry[1]))
+
+
+class TestRestrictionPruning:
+    SPECS = (ClassSpec(2, 4, 4), ClassSpec(1, 2, 2), ClassSpec(1, 3, 3))
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
+    def test_pruned_walk_is_the_deletion_screen(self, spec):
+        # the admitted leaves are, in order, the tables whose single-element
+        # deletions are all in the class
+        for n in range(4):
+            labels = pk.core.DEFAULT_LABELS[:n]
+            pruned = list(pk.iter_rank_tables(
+                labels, spec.k, admit=pk.minors._admit_in_class(spec, labels)))
+            screened = [rho for rho in pk.iter_rank_tables(labels, spec.k)
+                        if all(pk.in_class(rho.delete([name]), spec)
+                               for name in labels)]
+            assert pruned == screened
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
+    def test_search_matches_unpruned_screen(self, spec):
+        pk.minors._CLASS_CACHE.clear()
+        expected = unpruned_search(spec, 3)
+        pk.minors._CLASS_CACHE.clear()
+        records = pk.search_excluded(spec, max_elements=3)
+        assert [(r.polymatroid, r.canonical, r.witness) for r in records] == expected
+
+
+# The (2,4,4) excluded minors on up to four elements, as canonical forms.
+CATALOG_244 = [
+    (0, 2),
+    (0, 3, 3, 3), (0, 3, 3, 4), (0, 3, 4, 4), (0, 4, 4, 4), (0, 4, 4, 5),
+    (0, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2),
+    (0, 1, 1, 2, 1, 2, 2, 2, 4, 5, 5, 5, 5, 5, 5, 5),
+    (0, 1, 1, 2, 4, 5, 5, 5, 4, 5, 5, 5, 8, 8, 8, 8),
+    (0, 1, 4, 5, 4, 5, 8, 8, 4, 5, 8, 8, 8, 8, 11, 11),
+    (0, 4, 4, 8, 4, 8, 8, 11, 4, 8, 8, 11, 8, 11, 11, 14),
+]
+
+
+class TestFourElementCatalog:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4)
+
+    def test_records(self, records):
+        assert [sum(r.size == n for r in records) for n in (1, 2, 3, 4)] == [1, 5, 0, 5]
+        assert [r.canonical for r in records] == CATALOG_244
+
+    def test_dual_closure_and_gamma_size(self, records):
+        # checks 11b and 11c over the four-element records
+        spec = ClassSpec(2, 4, 4)
+        assert pk.dual_closure_check(records, spec)
+        assert pk.gamma_size_check(records, spec)
+
+    def test_witnesses_hold(self, records):
+        for record in records:
+            rho = record.polymatroid
+            oracle = functools.cache(functools.partial(multiset_rank_oracle, rho))
+            assert witness_holds(rho, record.witness, oracle)
+
+    def test_completes_within_a_small_budget(self):
+        # about 22k nodes; the unpruned walk needs about 2.8M
+        records = pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4,
+                                     budget=100_000)
+        assert len(records) == 11
+
+
 class TestChecks:
     def test_dual_closure_of_records(self):
         for a, b, k in ((2, 4, 4), (3, 7, 8)):
