@@ -59,6 +59,7 @@ from .minors import (  # noqa: F401
     ClassSpec,
     ExcludedMinorRecord,
     MinorWitness,
+    check_witness,
     class_membership,
     count_formula,
     doubleton_table_row,

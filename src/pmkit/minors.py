@@ -17,6 +17,12 @@ then free because they extend to an independent a0-subset, and larger ones
 are pinched between a0 and the total. Ranks are read from one flat count
 grid by index arithmetic.
 
+Profiles are walked as flat grid offsets. The offsets of every vector with a
+given sum under given coordinate limits form a table built once and cached
+by (total, limits, strides), with the limits passed as their own offset; at
+most _OFFSET_TABLES tables are kept, least recently used first out. Count
+vectors are decoded from offsets only for a witness.
+
 Minors never gain nullity, and a rank-a0, size-b0 uniform target needs
 nullity b0 - a0, so a table whose expansion has nullity k|E| - r(M) below
 that is rejected before any profile is visited.
@@ -24,9 +30,10 @@ that is rejected before any profile is visited.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import config
 from .core import (
@@ -46,7 +53,7 @@ from .errors import (
     NonIntegerResult,
     RegimeViolated,
 )
-from .natural import MultisetRankGrid, multiset_rank
+from .natural import MultisetRankGrid, multiset_rank, multiset_rank_oracle
 
 Counts = tuple[int, ...]
 
@@ -123,12 +130,27 @@ def _compositions(total: int, limits: Sequence[int]) -> Iterator[Counts]:
     yield from rec(0, total, [])
 
 
-def _profiles(total: int, limits: Sequence[int],
-              strides: Sequence[int]) -> Iterator[tuple[Counts, int]]:
-    """The vectors of _compositions(total, limits), each with its flat grid
-    offset."""
-    for vec in _compositions(total, limits):
-        yield vec, sum(map(mul, vec, strides))
+# Bound on the cached offset tables. The (3,7,8) search on up to four
+# elements builds 2,415 of them (about 2.7 MB); past the bound the least
+# recently used are rebuilt on demand.
+_OFFSET_TABLES = 4096
+
+
+def _counts(offset: int, strides: Counts) -> Counts:
+    """The count vector at a flat grid offset (strides descending)."""
+    vec = []
+    for s in strides:
+        c, offset = divmod(offset, s)
+        vec.append(c)
+    return tuple(vec)
+
+
+@functools.lru_cache(maxsize=_OFFSET_TABLES)
+def _offsets(total: int, bound: int, strides: Counts) -> tuple[int, ...]:
+    """The flat grid offsets of _compositions(total, limits), in its order,
+    where the limits are the count vector at offset bound."""
+    return tuple(sum(map(mul, vec, strides))
+                 for vec in _compositions(total, _counts(bound, strides)))
 
 
 def _detect(rho: RankTable, a0: int, b0: int, prune: bool = True,
@@ -138,6 +160,11 @@ def _detect(rho: RankTable, a0: int, b0: int, prune: bool = True,
     Only normal-form minors are visited: contract profiles c with
     R(c) = |c| = r - a0, and keep profiles w with |w| = b0 and
     R(c + w) = r, where r = rho(E) is the rank of the expansion.
+
+    Profiles are read from the cached offset tables of _offsets (at most
+    _OFFSET_TABLES of them): the keep table is keyed by the offset of k - c,
+    the sub-profile table by the keep's own offset, and count vectors are
+    decoded only for the witness returned.
     """
     if not 0 <= a0 <= b0:
         raise InvalidParams("need 0 <= a0 <= b0", a0=a0, b0=b0)
@@ -152,15 +179,44 @@ def _detect(rho: RankTable, a0: int, b0: int, prune: bool = True,
     if grid is None:
         grid = MultisetRankGrid(rho)
     values, strides = grid.values, grid.strides
-    for contract, ci in _profiles(rank - a0, (k,) * n, strides):
+    full = k * sum(strides)  # the offset of (k, ..., k)
+    for ci in _offsets(rank - a0, full, strides):
         if values[ci] != rank - a0:
             continue
-        for keep, wi in _profiles(b0, [k - c for c in contract], strides):
+        for wi in _offsets(b0, full - ci, strides):
             if values[ci + wi] == rank and all(
-                    values[ci + yi] == rank
-                    for _, yi in _profiles(a0, keep, strides)):
-                return MinorWitness(contract=contract, keep=keep, target=(a0, b0))
+                    values[ci + yi] == rank for yi in _offsets(a0, wi, strides)):
+                return MinorWitness(contract=_counts(ci, strides),
+                                    keep=_counts(wi, strides), target=(a0, b0))
     return None
+
+
+def check_witness(rho: RankTable, witness: MinorWitness,
+                  rank: Callable[[Counts], int] | None = None) -> bool:
+    """Whether contracting witness.contract clones of rho and keeping
+    witness.keep gives the uniform matroid U(a0, b0) of witness.target.
+
+    Checked from the definition, apart from the count grid and _detect: the
+    kept profile w is U(a0, b0) iff |w| = b0, its minor rank is a0, and every
+    sub-profile y <= w with |y| = a0 has minor rank a0. ``rank`` maps a count
+    vector to its multiset rank; it defaults to a memoized
+    multiset_rank_oracle on rho.
+    """
+    a0, b0 = witness.target
+    contract, keep = tuple(witness.contract), tuple(witness.keep)
+    if len(contract) != len(rho.labels) or len(keep) != len(contract):
+        return False
+    if any(c < 0 or w < 0 or c + w > rho.k for c, w in zip(contract, keep)):
+        return False
+    if rank is None:
+        rank = functools.cache(functools.partial(multiset_rank_oracle, rho))
+    base = rank(contract)
+
+    def minor_rank(counts: Counts) -> int:
+        return rank(tuple(c + y for c, y in zip(contract, counts))) - base
+
+    return (sum(keep) == b0 and minor_rank(keep) == a0
+            and all(minor_rank(sub) == a0 for sub in _compositions(a0, keep)))
 
 
 def has_uniform_minor(rho: RankTable, a0: int, b0: int,
@@ -367,12 +423,27 @@ def _admit_in_class(spec: ClassSpec, labels: Sequence[str]):
     return admit
 
 
+def _admit_sorted_in_class(spec: ClassSpec, labels: Sequence[str]):
+    """The search's ``admit``: singleton ranks nondecreasing in label order,
+    then _admit_in_class. The walk yields the least relabeling of each class
+    first, and singletons come first in generation order, so that table has
+    sorted singleton ranks and survives the cut."""
+    in_class_restriction = _admit_in_class(spec, labels)
+
+    def admit(mask: int, ranks: list[int]) -> bool:
+        if mask > 1 and mask & (mask - 1) == 0 and ranks[mask] < ranks[mask >> 1]:
+            return False
+        return in_class_restriction(mask, ranks)
+
+    return admit
+
+
 def _search_one_size(spec: ClassSpec, n: int, budget: int,
                      counter: list[int]) -> dict[tuple, ExcludedMinorRecord]:
     found: dict[tuple, ExcludedMinorRecord] = {}
     labels = DEFAULT_LABELS[:n]
     for rho in iter_rank_tables(labels, spec.k, budget=budget, counter=counter,
-                                admit=_admit_in_class(spec, labels)):
+                                admit=_admit_sorted_in_class(spec, labels)):
         # every proper restriction was admitted; the contractions remain
         if not all(in_class(rho.contract([name]), spec) for name in labels):
             continue
@@ -404,6 +475,14 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     therefore has all its deletions in the class; it is screened through its
     single-element contractions before the membership test runs on the table
     itself. The budget counts only the nodes the walk tries.
+
+    The walk also cuts every table whose singleton ranks decrease in label
+    order. Tables are yielded in rank-vector lex order with the singletons
+    first, and every screen is invariant under relabeling, so the first table
+    reached in each isomorphism class, which is the one kept, is its least
+    relabeling and has nondecreasing singleton ranks. The cut therefore
+    changes no record, representative or witness; it only skips the later
+    relabelings of each class.
 
     With jobs > 1, ground-set sizes run in separate worker processes (the
     budget then applies per worker task); results are merged and sorted, so

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import itertools
+from operator import mul
 
 import pytest
 
@@ -9,6 +11,8 @@ from pmkit.minors import (
     ClassSpec,
     MinorWitness,
     _compositions,
+    _detect,
+    _offsets,
     doubleton_row_triples,
     doubleton_table_row,
 )
@@ -39,23 +43,6 @@ def naive_has_uniform_minor(rho, a0, b0):
     return False
 
 
-def witness_holds(rho, witness, rank=None):
-    """Oracle: contracting witness.contract clones and keeping witness.keep
-    gives U(a0, b0), with ranks from the lattice-point maximization (or from
-    a memo of it passed as rank)."""
-    if rank is None:
-        rank = functools.partial(multiset_rank_oracle, rho)
-    a0, b0 = witness.target
-    contract, keep = witness.contract, witness.keep
-    base = rank(contract)
-
-    def minor_rank(counts):
-        return rank(tuple(c + y for c, y in zip(contract, counts))) - base
-
-    return (sum(keep) == b0 and minor_rank(keep) == a0
-            and all(minor_rank(sub) == a0 for sub in _compositions(a0, keep)))
-
-
 def sweep_detect(rho, a0, b0, rank):
     """Oracle: every contract profile of the grid, ascending by total, and
     every keep profile with sum b0 under it; rank maps a count tuple to its
@@ -74,6 +61,29 @@ def sweep_detect(rho, a0, b0, rank):
             if minor_rank(keep) == a0 and all(
                     minor_rank(sub) == a0 for sub in _compositions(a0, keep)):
                 return MinorWitness(contract, keep, (a0, b0))
+    return None
+
+
+def profile_walk_detect(rho, a0, b0):
+    """Reference: the detector walking each profile list through
+    _compositions on every call, as it did before the offset tables."""
+    n, k, rank = len(rho.labels), rho.k, rho.total_rank
+    if b0 > n * k or a0 > rank or n * k - rank < b0 - a0:
+        return None
+    grid = pk.MultisetRankGrid(rho)
+    values, strides = grid.values, grid.strides
+
+    def profiles(total, limits):
+        for vec in _compositions(total, limits):
+            yield vec, sum(map(mul, vec, strides))
+
+    for contract, ci in profiles(rank - a0, (k,) * n):
+        if values[ci] != rank - a0:
+            continue
+        for keep, wi in profiles(b0, [k - c for c in contract]):
+            if values[ci + wi] == rank and all(
+                    values[ci + yi] == rank for _, yi in profiles(a0, keep)):
+                return MinorWitness(contract=contract, keep=keep, target=(a0, b0))
     return None
 
 
@@ -133,10 +143,57 @@ class TestNormalFormDetector:
                             assert found == (expected is not None)
                             if found:
                                 contract = witness.contract
-                                assert witness_holds(rho, witness, oracle)
+                                assert pk.check_witness(rho, witness, oracle)
                                 assert (oracle(contract) == sum(contract)
                                         == rho.total_rank - a0)
         assert cases == 732 * 21
+
+    def test_witness_matches_profile_walk(self):
+        # the same witness, not only a valid one, on every table with
+        # |E| <= 3, k <= 3 and every 0 <= a0 <= b0 <= 5
+        for n in range(4):
+            for k in range(4):
+                for rho in pk.iter_rank_tables(LABELS[:n], k):
+                    for b0 in range(6):
+                        for a0 in range(b0 + 1):
+                            assert (_detect(rho, a0, b0)
+                                    == profile_walk_detect(rho, a0, b0))
+
+
+class TestOffsetTables:
+    def test_tables_list_the_compositions_in_order(self):
+        # every (total, limits) with |E| <= 4 and k <= 4, under the strides
+        # of the count grid; the limits are passed as their grid offset
+        assert _offsets.cache_info().maxsize == pk.minors._OFFSET_TABLES
+        for n in range(5):
+            for k in range(1, 5):
+                zero = pk.RankTable(pk.core.DEFAULT_LABELS[:n], k, (0,) * (1 << n))
+                strides = pk.MultisetRankGrid(zero).strides
+                for limits in itertools.product(range(k + 1), repeat=n):
+                    bound = sum(map(mul, limits, strides))
+                    for total in range(sum(limits) + 2):
+                        assert list(_offsets(total, bound, strides)) == [
+                            sum(map(mul, v, strides))
+                            for v in _compositions(total, limits)]
+
+
+class TestCheckWitness:
+    def test_accepts_a_detected_witness(self):
+        rho = pk.singleton(4, 8)
+        assert pk.check_witness(rho, pk.has_uniform_minor(rho, 3, 7)[1])
+
+    def test_rejects_a_spanning_keep_that_is_not_uniform(self):
+        # a loop e and a rank-2 f at k=2: keeping one clone of e and both of
+        # f has rank 2, but the pair (e, f) has rank 1
+        rho = pk.doubleton(0, 2, 2, 2)
+        assert not pk.check_witness(rho, MinorWitness((0, 0), (1, 2), (2, 3)))
+
+    def test_rejects_malformed_profiles(self):
+        rho = pk.singleton(4, 8)
+        for contract, keep, target in (((1,), (6,), (3, 7)),     # |w| != b0
+                                       ((2,), (7,), (3, 7)),     # c + w > k
+                                       ((1, 0), (7, 0), (3, 7))):  # length
+            assert not pk.check_witness(rho, MinorWitness(contract, keep, target))
 
 
 class TestNullityPrune:
@@ -166,7 +223,7 @@ class TestClassCache:
         for ranks in ((0, 2, 0, 2), (0, 0, 2, 2)):
             rho = pk.RankTable(("e", "f"), 4, ranks)
             member, witness = pk.class_membership(rho, spec)
-            assert not member and witness_holds(rho, witness)
+            assert not member and pk.check_witness(rho, witness)
         assert witness.keep == (0, 4)
 
     def test_cached_witnesses_hold_on_every_relabelling(self, random_tables):
@@ -179,7 +236,7 @@ class TestClassCache:
                 shuffled = pk.RankTable(rho.labels, 4, ranks)
                 member, witness = pk.class_membership(shuffled, spec)
                 assert member == (witness is None)
-                assert member or witness_holds(shuffled, witness)
+                assert member or pk.check_witness(shuffled, witness)
 
     def test_in_class_verdicts_are_cached(self, monkeypatch):
         spec = ClassSpec(2, 4, 4)
@@ -408,6 +465,23 @@ class TestRestrictionPruning:
             assert pruned == screened
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
+    def test_search_walk_is_the_sorted_deletion_screen(self, spec):
+        # the search adds the singleton-order cut: its leaves are, in order,
+        # the deletion-screen tables with nondecreasing singleton ranks
+        for n in range(4):
+            labels = pk.core.DEFAULT_LABELS[:n]
+            walked = list(pk.iter_rank_tables(
+                labels, spec.k,
+                admit=pk.minors._admit_sorted_in_class(spec, labels)))
+            screened = []
+            for rho in pk.iter_rank_tables(labels, spec.k):
+                singles = [rho.ranks[1 << i] for i in range(n)]
+                if singles == sorted(singles) and all(
+                        pk.in_class(rho.delete([name]), spec) for name in labels):
+                    screened.append(rho)
+            assert walked == screened
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
     def test_search_matches_unpruned_screen(self, spec):
         pk.minors._CLASS_CACHE.clear()
         expected = unpruned_search(spec, 3)
@@ -447,13 +521,45 @@ class TestFourElementCatalog:
         for record in records:
             rho = record.polymatroid
             oracle = functools.cache(functools.partial(multiset_rank_oracle, rho))
-            assert witness_holds(rho, record.witness, oracle)
+            assert pk.check_witness(rho, record.witness, oracle)
 
     def test_completes_within_a_small_budget(self):
-        # about 22k nodes; the unpruned walk needs about 2.8M
+        # 5,575 nodes; 21,712 without the singleton-order cut, and the
+        # unpruned walk needs about 2.8M
         records = pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4,
-                                     budget=100_000)
+                                     budget=10_000)
         assert len(records) == 11
+
+
+# sha256 of repr([r.canonical for r in records]) for the (3,7,8) catalog on
+# up to four elements, as the search found it before the singleton-order cut
+# and the offset tables
+CATALOG_378_SHA256 = "f79e4d341d01e1382b5e28270981a84a5d3da97149f2b983a2e50879a3b5c395"
+
+
+class TestFourElementCatalog378:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return pk.search_excluded(ClassSpec(3, 7, 8), max_elements=4)
+
+    def test_records(self, records):
+        assert [sum(r.size == n for r in records) for n in (1, 2, 3, 4)] == [3, 14, 0, 84]
+        canonical = repr([r.canonical for r in records]).encode()
+        assert hashlib.sha256(canonical).hexdigest() == CATALOG_378_SHA256
+
+    def test_dual_closure_and_gamma_size(self, records):
+        # checks 11b and 11c over the four-element records
+        spec = ClassSpec(3, 7, 8)
+        assert pk.dual_closure_check(records, spec)
+        assert pk.gamma_size_check(records, spec)
+
+    def test_witnesses_hold(self, records):
+        # ranks from multiset_rank, memoized; the multiset_rank_oracle pass
+        # takes about 22 s on these 101 records, so it is left out here
+        for record in records:
+            rho = record.polymatroid
+            rank = functools.cache(functools.partial(multiset_rank, rho))
+            assert pk.check_witness(rho, record.witness, rank)
 
 
 class TestChecks:
@@ -540,8 +646,9 @@ class TestThreeElementCrossValidation:
 
 
 def test_search_378_finds_nothing_at_three_elements():
-    # 66k candidate tables at k=8; everything at |E|=3 is screened out, so
-    # the catalog stays at 3 singletons + 14 doubletons
+    # 3,172 nodes (8,499 without the singleton-order cut; the unpruned walk
+    # tries 196,321); everything at |E|=3 is screened out, so the catalog
+    # stays at 3 singletons + 14 doubletons
     spec = ClassSpec(3, 7, 8)
     records = pk.search_excluded(spec, max_elements=3)
     assert len(records) == 17
