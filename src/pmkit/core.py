@@ -227,12 +227,20 @@ class RankTable:
     # -- duality, simplification -----------------------------------------
 
     def dual(self) -> "RankTable":
-        """k-dual: rho*(X) = k|X| + rho(E-X) - rho(E). An involution."""
+        """k-dual: rho*(X) = k|X| + rho(E-X) - rho(E). An involution.
+
+        The dual is a k-polymatroid whenever rho is one, so it is not
+        re-validated: rho*(empty) = rho(E) - rho(E) = 0; adding e to X adds
+        k + rho(E-X-e) - rho(E-X) >= k - rho(e) >= 0, by subadditivity and
+        rho(e) <= k; X -> rho(E-X) is submodular and k|X| is modular, so
+        rho* is submodular; and rho*(e) = k - (rho(E) - rho(E-e)) <= k by
+        monotonicity.
+        """
         full = self.full_mask
         total = self.total_rank
         ranks = tuple(self.k * _popcount(mask) + self.ranks[full ^ mask] - total
                       for mask in range(1 << len(self.labels)))
-        return RankTable(self.labels, self.k, ranks)
+        return RankTable._trusted(self.labels, self.k, ranks)
 
     def loops(self) -> tuple[str, ...]:
         return tuple(name for i, name in enumerate(self.labels)

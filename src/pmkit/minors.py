@@ -236,6 +236,7 @@ def nullity_prune(rho: RankTable, contract: Sequence[int], spec: ClassSpec) -> b
 
 
 _CLASS_CACHE: dict[tuple, MinorWitness | None] = {}
+_CLASS_CACHE_SIZE = 1 << 16  # entries; the oldest is evicted first
 _MISS = object()
 
 
@@ -264,6 +265,8 @@ def _cached_witness(rho: RankTable, spec: ClassSpec,
                 break
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
         cached = None if witness is None else _relabel(witness, inverse)
+        if len(_CLASS_CACHE) >= _CLASS_CACHE_SIZE:
+            del _CLASS_CACHE[next(iter(_CLASS_CACHE))]
         _CLASS_CACHE[key] = cached
     return cached, perm
 

@@ -9,16 +9,23 @@ grid [0,k]^E:
 * ``multiset_rank`` evaluates the rank at a count vector by the closed form
   min over B of rho(B) + sum of counts outside B (2^|E| terms);
 * ``multiset_rank_oracle`` recomputes it as the largest coordinate sum of an
-  independence-polytope lattice point dominated by the counts, and is kept
-  solely as a cross-check;
-* ``MultisetRankGrid`` holds all (k+1)^|E| values in one flat list in the
-  lexicographic order of the grid (last coordinate fastest), filled once at
-  construction by eliminating one coordinate at a time:
+  independence-polytope lattice point dominated by the counts, found by
+  testing every point of the box below the counts against every subset
+  constraint; it never builds a grid and is kept solely as a cross-check;
+* ``MultisetRankGrid`` holds R on a box [0,l_1] x ... x [0,l_n] (by default
+  the whole [0,k]^E) in one flat list in the lexicographic order of the box
+  (last coordinate fastest, mixed-radix strides), filled once at construction
+  by eliminating one coordinate at a time, the last one first:
 
-      T_j(c_1..c_j, B) = min(T_{j-1}(c_<j, B+j), T_{j-1}(c_<j, B) + c_j)
+      T_j(B, c_j..c_n) = min(T_{j+1}(B+j, c_>j), T_{j+1}(B, c_>j) + c_j)
 
-  for B inside {j+1..n}, from T_0 = rho to T_n = R, in
-  sum_j (k+1)^j 2^(n-j) steps instead of (k+1)^n 2^n.
+  for B inside {1..j-1}, from T_{n+1} = rho to T_1 = R, in
+  sum_j 2^(j-1) (l_j+1)...(l_n+1) steps instead of (l_1+1)...(l_n+1) 2^n.
+
+Because min_B rho(B) + c(E-B) >= c(E) holds exactly when c(B) <= rho(B) for
+every B, an integer vector c is a point of the independence polytope exactly
+when R(c) = |c|. ``polytope`` reads its lattice points that way, from the grid
+over the box bounded by the singleton ranks.
 
 The expanded matroid is only ever materialized inside ``clone_check`` and the
 test oracles, at k*|E| <= 16.
@@ -29,14 +36,13 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from . import polytope
 from .core import RankTable
 from .errors import OutOfGrid, TooLarge, UnknownElement
 
 Counts = tuple[int, ...]
 CloneElement = tuple[str, int]
 
-GRID_LIMIT = 1 << 22  # points of one count grid
+GRID_LIMIT = 1 << 22  # points of one count grid (of its box)
 EXPANSION_LIMIT = 16  # clones of one explicit expansion
 
 
@@ -89,17 +95,27 @@ def multiset_rank(rho: RankTable, counts: Sequence[int]) -> int:
     return best if best is not None else 0
 
 
+def _subset_tested_points(rho: RankTable, limits: Sequence[int]) -> list[Counts]:
+    """Points of the box [0, limits] with c(A) <= rho(A) for every subset A,
+    lex order. Brute force by construction, apart from the count grid."""
+    n = len(rho.labels)
+    masks = range(1, 1 << n)
+    out = []
+    for point in itertools.product(*(range(limit + 1) for limit in limits)):
+        if all(sum(point[i] for i in range(n) if mask >> i & 1) <= rho.ranks[mask]
+               for mask in masks):
+            out.append(point)
+    return out
+
+
 def multiset_rank_oracle(rho: RankTable, counts: Sequence[int]) -> int:
     """Largest coordinate sum over independence lattice points dominated by counts.
 
     Brute force by construction; exists to cross-check multiset_rank.
     """
     counts = _check_counts(rho, counts)
-    best = 0
-    for point in polytope.lattice_points(rho):
-        if all(b <= a for b, a in zip(point, counts)):
-            best = max(best, sum(point))
-    return best
+    limits = [min(c, rho.ranks[1 << i]) for i, c in enumerate(counts)]
+    return max(map(sum, _subset_tested_points(rho, limits)))
 
 
 def natural_rank(rho: RankTable, clones: Iterable[CloneElement]) -> int:
@@ -119,46 +135,65 @@ def minor_multiset_rank(grid: "MultisetRankGrid", contract: Sequence[int],
 
 
 class MultisetRankGrid:
-    """Multiset ranks on [0,k]^E, all computed at construction.
+    """Multiset ranks on the box [0, limits] (default [0,k]^E), all computed
+    at construction.
 
     ``values`` is flat in lexicographic order: the point c sits at index
-    sum of c_i * strides[i]. Entries never change after construction, so
-    concurrent readers are safe. ``value_at`` is the validating lookup;
-    callers that build their own in-range indices read ``values`` directly.
+    sum of c_i * strides[i], with mixed-radix strides. Entries never change
+    after construction, so concurrent readers are safe. ``value_at`` is the
+    validating lookup; callers that build their own in-range indices read
+    ``values`` directly.
     """
 
-    __slots__ = ("rho", "values", "strides")
+    __slots__ = ("rho", "limits", "values", "strides")
 
-    def __init__(self, rho: RankTable):
-        n, side = len(rho.labels), rho.k + 1
-        if side ** n > GRID_LIMIT:
-            raise TooLarge(f"count grid has {side}^{n} points; limit is {GRID_LIMIT}",
-                           points=side ** n)
+    def __init__(self, rho: RankTable, limits: Sequence[int] | None = None):
+        n = len(rho.labels)
+        limits = (rho.k,) * n if limits is None else _check_counts(rho, limits)
+        points = 1
+        for limit in limits:
+            points *= limit + 1
+        if points > GRID_LIMIT:
+            raise TooLarge(f"count grid has {points} points; limit is {GRID_LIMIT}",
+                           points=points)
         self.rho = rho
-        self.strides = tuple(side ** (n - 1 - i) for i in range(n))
-        # table j: (counts of elements < j, subset of elements >= j), the
-        # subset's lowest bit being element j; each pass strides over the
-        # count prefixes so that the comprehensions stay long
+        self.limits = limits
+        strides = [1] * n
+        for i in range(n - 1, 0, -1):
+            strides[i - 1] = strides[i] * (limits[i] + 1)
+        self.strides = tuple(strides)
+        # before the pass for element j the table is indexed by (subset of
+        # elements <= j, counts of elements > j), subset major, so j is the
+        # top bit; the pass pairs each count block of the upper half (j in
+        # the subset) with its twin in the lower half and writes one block
+        # per count of j
         table = list(rho.ranks)
-        for j in range(n):
-            width = 1 << (n - j)
-            half = width >> 1
-            nxt = [0] * (len(table) // 2 * side)
-            for b in range(half):
-                inside, outside = table[2 * b + 1::width], table[2 * b::width]
-                for c in range(side):
-                    nxt[c * half + b::side * half] = [
-                        a if a <= o + c else o + c for a, o in zip(inside, outside)]
-            table = nxt
+        size = 1  # points of one count block
+        for j in reversed(range(n)):
+            cut = len(table) >> 1
+            cs = range(limits[j] + 1)
+            if size == 1:
+                table = [a if a <= o + c else o + c
+                         for a, o in zip(table[cut:], table[:cut]) for c in cs]
+            else:
+                blocks = [(table[cut + p:cut + p + size], table[p:p + size])
+                          for p in range(0, cut, size)]
+                table = [a if a <= o + c else o + c
+                         for inside, outside in blocks for c in cs
+                         for a, o in zip(inside, outside)]
+            size *= limits[j] + 1
         self.values = table
 
     def value_at(self, counts: Sequence[int]) -> int:
         counts = _check_counts(self.rho, counts)
+        if any(c > limit for c, limit in zip(counts, self.limits)):
+            raise OutOfGrid("counts lie outside the grid's box",
+                            counts=list(counts), limits=list(self.limits))
         return self.values[sum(a * s for a, s in zip(counts, self.strides))]
 
     def iter_counts(self) -> Iterator[Counts]:
         """Grid points in lexicographic order."""
-        return itertools.product(range(self.rho.k + 1), repeat=len(self.rho.labels))
+        return itertools.product(*(range(limit + 1) for limit in self.limits))
 
     def rows(self) -> Iterator[tuple[Counts, int]]:
         return zip(self.iter_counts(), self.values)

@@ -1,18 +1,24 @@
 """Base and independence polytopes, exactly.
 
-All membership tests run over every subset constraint with exact arithmetic
+Membership tests run over every subset constraint with exact arithmetic
 (ints and fractions.Fraction); nothing here touches floats, so points on
-faces classify correctly. Lattice enumeration iterates the coordinate box
-bounded by singleton ranks, which is exact and cheap at desk scale.
+faces classify correctly. Lattice geometry reads the count grid instead: an
+integer vector c lies in the independence polytope exactly when its multiset
+rank R(c) = min_B rho(B) + c(E-B) equals |c| (Edmonds), so ``lattice_points``
+and ``minor_face`` make one pass over ``MultisetRankGrid`` on the box bounded
+by the singleton ranks. A box above ``natural.GRID_LIMIT`` points raises
+``TooLarge``.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import natural
 from .core import RankTable, mask_of, subset_name
 from .errors import DimensionMismatch, OverlappingSets
 
@@ -46,29 +52,18 @@ def in_base_polytope(rho: RankTable, point: Sequence) -> bool:
 
 
 def lattice_points(rho: RankTable, restrict_to_base: bool = False) -> list[Point]:
-    """Integer points of the independence (or base) polytope, lex order."""
-    n = len(rho.labels)
-    if n == 0:
-        empty = ()
-        return [empty] if not restrict_to_base or rho.total_rank == 0 else []
-    boxes = [range(rho.ranks[1 << i] + 1) for i in range(n)]
-    masks = list(range(1, 1 << n))
-    out = []
-    for point in itertools.product(*boxes):
-        if restrict_to_base and sum(point) != rho.total_rank:
-            continue
-        ok = True
-        for mask in masks:
-            total = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    total += point[i]
-            if total > rho.ranks[mask]:
-                ok = False
-                break
-        if ok:
-            out.append(point)
-    return out
+    """Integer points of the independence (or base) polytope, lex order: the
+    points c of the singleton-rank box with R(c) = |c| (and = rho(E))."""
+    grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
+    sums = [0]
+    for limit in grid.limits:
+        sums = [s + c for s in sums for c in range(limit + 1)]
+    if restrict_to_base:
+        total = rho.total_rank
+        tight = [v == s == total for v, s in zip(grid.values, sums)]
+    else:
+        tight = map(operator.eq, grid.values, sums)
+    return list(itertools.compress(grid.iter_counts(), tight))
 
 
 def base_vertices(rho: RankTable) -> list[Point]:
@@ -143,20 +138,25 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
                      if rho.ranks[1 << rho.labels.index(name)] != chain_pins[name])
 
     free = [i for i in range(n) if not (a1 | a2) >> i & 1]
-    boxes = [range(rho.ranks[1 << i] + 1) for i in free]
     fixed = [0] * n
     for i in range(n):
         if a1 >> i & 1:
             fixed[i] = pins[rho.labels[i]]
-    points = []
-    translated = []
-    for combo in itertools.product(*boxes) if free else [()]:
-        candidate = list(fixed)
-        for j, i in enumerate(free):
-            candidate[i] = combo[j]
-        if in_independence_polytope(rho, tuple(candidate)):
-            points.append(tuple(candidate))
-            translated.append(combo)
+    # pins never exceed the singleton ranks, so the slice lies in the grid's
+    # box; its free coordinates expand one base offset in lex order
+    grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
+    offsets = [sum(v * s for v, s in zip(fixed, grid.strides))]
+    sums = [sum(fixed)]
+    for i in free:
+        stride, side = grid.strides[i], range(grid.limits[i] + 1)
+        offsets = [o + c * stride for o in offsets for c in side]
+        sums = [s + c for s in sums for c in side]
+    tight = list(map(operator.eq, map(grid.values.__getitem__, offsets), sums))
+    boxes = [range(grid.limits[i] + 1) if i in free else (fixed[i],)
+             for i in range(n)]
+    points = itertools.compress(itertools.product(*boxes), tight)
+    translated = itertools.compress(
+        itertools.product(*(boxes[i] for i in free)), tight)
     intervals = []
     for i in range(n):
         if a1 >> i & 1:

@@ -111,10 +111,15 @@ def grid_csv(rho: RankTable) -> str:
     from .natural import MultisetRankGrid
 
     grid = MultisetRankGrid(rho)
-    lines = [",".join(list(rho.labels) + ["rank"])]
-    for counts, value in grid.rows():
-        lines.append(",".join(str(c) for c in counts) + f",{value}")
-    return "\n".join(lines) + "\n"
+    # the counts part of every row, built once per coordinate from the
+    # prefixes of the one before, in the grid's lex order
+    prefixes = [""]
+    for j in range(len(rho.labels)):
+        digits = [f",{c}" if j else str(c) for c in range(rho.k + 1)]
+        prefixes = [p + d for p in prefixes for d in digits]
+    header = ",".join(list(rho.labels) + ["rank"])
+    rows = [f"{p},{v}" for p, v in zip(prefixes, grid.values)]
+    return "\n".join([header] + rows) + "\n"
 
 
 def points_csv(labels: Sequence[str], points: Sequence[Sequence]) -> str:

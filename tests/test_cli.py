@@ -4,7 +4,7 @@ import pytest
 
 import pmkit as pk
 from pmkit.cli import main
-from pmkit.serialize import dumps_polymatroid
+from pmkit.serialize import dumps_polymatroid, load_polymatroid
 
 
 @pytest.fixture
@@ -104,6 +104,9 @@ def test_class_check(rho_file, capsys):
     assert main(["class-check", rho_file, "--a", "2", "--b", "4"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["in_class"] is False and "witness" in data
+    witness = pk.MinorWitness(**{key: tuple(value)
+                                 for key, value in data["witness"].items()})
+    assert pk.check_witness(load_polymatroid(rho_file), witness)
 
 
 def test_excluded_check(tmp_path, capsys):
@@ -147,6 +150,14 @@ def test_polytope_vertices_and_svg(rho_file, tmp_path, capsys):
     assert main(["polytope", rho_file, "--vertices", "--svg", str(svg)]) == 0
     assert capsys.readouterr().out == "e,f\n2,2\n3,1\n"
     assert svg.read_text().startswith("<svg")
+
+
+def test_polytope_box_guard(tmp_path, capsys):
+    # singleton ranks 16 on six elements: a lattice box of 17^6 points
+    path = tmp_path / "big.json"
+    path.write_text(dumps_polymatroid(16 * pk.uniform(1, 6)))
+    assert main(["polytope", str(path), "--lattice"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "TooLarge"
 
 
 def test_polytope_base_lattice(tmp_path, capsys):

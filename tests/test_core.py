@@ -204,6 +204,14 @@ class TestDuality:
             dual = rho.dual()
             assert brute_force_axiom_check(dual.labels, dual.k, dual.ranks)
 
+    def test_unvalidated_dual_passes_the_axiom_checks(self):
+        # dual() skips validation; the axioms must hold on every small table
+        for n in range(4):
+            for k in range(4):
+                for rho in pk.iter_rank_tables(LABELS[:n], k):
+                    dual = rho.dual()
+                    pk.core._check_axioms(dual.labels, dual.k, dual.ranks)
+
 
 class TestNullity:
     @pytest.mark.parametrize("a,b,expected", [(2, 5, 3), (3, 3, 0)])

@@ -247,6 +247,26 @@ class TestClassCache:
         assert pk.in_class(pk.doubleton(1, 3, 4, 4), spec)
 
 
+    def test_cache_is_bounded_and_evicts_the_oldest(self, monkeypatch):
+        spec = ClassSpec(2, 4, 4)
+        pk.minors._CLASS_CACHE.clear()
+        monkeypatch.setattr(pk.minors, "_CLASS_CACHE_SIZE", 5)
+        tables = list(pk.iter_rank_tables(LABELS[:2], 4))
+        kept = []  # the keys a first-in first-out cache of 5 holds
+        for rho in tables + tables[:8]:  # the repeats were evicted long ago
+            member, witness = pk.class_membership(rho, spec)
+            assert len(pk.minors._CLASS_CACHE) <= 5
+            hits = [pk.has_uniform_minor(rho, a0, b0)[0] for a0, b0 in spec.targets]
+            assert member == (not any(hits))
+            assert member or pk.check_witness(rho, witness)
+            key = (2, 4, 4, pk.core.canonical_labelling(rho)[0], True)
+            if key not in kept:
+                kept = (kept + [key])[-5:]
+        assert list(pk.minors._CLASS_CACHE) == kept
+        assert len({pk.canonical_form(rho) for rho in tables}) > 5
+        pk.minors._CLASS_CACHE.clear()
+
+
 class TestInClass:
     def test_singleton_bands(self):
         spec = ClassSpec(3, 7, 8)

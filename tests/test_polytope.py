@@ -1,14 +1,33 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 import pmkit as pk
-from pmkit import errors
+from pmkit import errors, natural
 from pmkit.natural import MultisetRankGrid
 from pmkit.polytope import minor_face, svg_independence_polytope
 
 from conftest import LABELS
+
+
+def property_tables():
+    """Every table with |E| <= 3 and k <= 4, then 40 seeded random tables
+    with |E| of 4 or 5."""
+    labels = pk.core.DEFAULT_LABELS
+    tables = [rho for n in range(4) for k in range(5)
+              for rho in pk.iter_rank_tables(labels[:n], k)]
+    rng = random.Random(4099)
+    for _ in range(40):
+        n = rng.choice((4, 5))
+        tables.append(pk.random_rank_table(labels[:n], rng.randint(1, 7 - n), rng))
+    return tables
+
+
+def subset_tested_points(rho):
+    """Lattice points by the box-and-subset loop the oracle keeps."""
+    return natural._subset_tested_points(rho, rho.singleton_ranks())
 
 
 @pytest.fixture
@@ -87,6 +106,77 @@ class TestLatticePoints:
         rho = pk.RankTable((), 1, (0,))
         assert pk.lattice_points(rho) == [()]
         assert pk.lattice_points(rho, restrict_to_base=True) == [()]
+
+
+class TestGridAgainstSubsetLoop:
+    def test_lattice_points_in_both_modes(self):
+        for rho in property_tables():
+            expected = subset_tested_points(rho)
+            assert pk.lattice_points(rho) == expected
+            assert pk.lattice_points(rho, restrict_to_base=True) == [
+                p for p in expected if sum(p) == rho.total_rank]
+
+    def test_minor_face_points(self):
+        for rho in property_tables():
+            n = len(rho.labels)
+            if n > 4:
+                continue
+            expected = subset_tested_points(rho)
+            # the expected points grouped by their pinned coordinates, in order
+            slices = {}
+            for pinned in range(1 << n):
+                for p in expected:
+                    key = tuple(p[i] for i in range(n) if pinned >> i & 1)
+                    slices.setdefault((pinned, key), []).append(p)
+            for a1, a2 in itertools.product(range(1 << n), repeat=2):
+                if a1 & a2:
+                    continue
+                contract = [rho.labels[i] for i in range(n) if a1 >> i & 1]
+                delete = [rho.labels[i] for i in range(n) if a2 >> i & 1]
+                # the two pinnings differ only on two or more contractions
+                pins = ("chain", "singleton") if a1 & (a1 - 1) else ("chain",)
+                for pin in pins:
+                    face = minor_face(rho, contract, delete, pin=pin)
+                    key = tuple(face.pins[rho.labels[i]] if a1 >> i & 1 else 0
+                                for i in range(n) if (a1 | a2) >> i & 1)
+                    points = slices.get((a1 | a2, key), [])
+                    assert list(face.points) == points
+                    assert list(face.translated_points) == [
+                        tuple(p[i] for i in range(n) if not (a1 | a2) >> i & 1)
+                        for p in points]
+
+    def test_oracles_never_build_a_grid(self, monkeypatch):
+        class Refused(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Refused
+
+        monkeypatch.setattr(natural.MultisetRankGrid, "__init__", refuse)
+        monkeypatch.setattr(natural, "MultisetRankGrid", refuse)
+        rho = pk.singleton(4, 8)
+        with pytest.raises(Refused):  # the patch reaches the grid paths
+            pk.lattice_points(rho)
+        assert natural.multiset_rank_oracle(rho, (5,)) == 4
+        witness = pk.MinorWitness((1,), (7,), (3, 7))
+        assert pk.check_witness(rho, witness)
+        assert not pk.check_witness(rho, pk.MinorWitness((0,), (7,), (3, 7)))
+
+
+class TestLatticeGuard:
+    def test_large_box_raises(self):
+        # singleton ranks 16 on six elements: a box of 17^6 points
+        with pytest.raises(errors.TooLarge):
+            pk.lattice_points(16 * pk.uniform(1, 6))
+        with pytest.raises(errors.TooLarge):
+            minor_face(16 * pk.uniform(1, 6), [], [])
+
+    def test_box_follows_singleton_ranks_not_k(self):
+        matroid = pk.uniform(2, 6)
+        declared = pk.RankTable(matroid.labels, 16, matroid.ranks)
+        points = pk.lattice_points(declared)
+        assert points == pk.lattice_points(matroid)
+        assert len(points) == 1 + 6 + 15  # the independent sets of U(2,6)
 
 
 class TestBaseVertices:
