@@ -13,9 +13,19 @@ variant, which tries every coloop set, is the oracle for these closed forms.
 
 Polymatroids glue: a decomposition of rho can be assembled from
 decompositions of the deletion, contraction, and restriction at one element,
-which is what ``decompose_via_minors`` does recursively. For essentially
-m-bounded tables, every compression at a level in [m, k-m] collapses to the
-plain deletion or contraction.
+which is what ``decompose_via_minors`` does recursively.
+
+Compressions collapse. By compress's closed form the level-l compression at
+e is A -> min(rho(A) + l, rho(A+e)) - min(l, rho(e)) on E-e, so
+``compression_collapse`` compares it with the deletion rho(A) and the
+contraction rho(A+e) - rho(e) subset by subset, in one pass over the rank
+vector, without building a table. Why it always collapses: for l >= rho(e)
+the value is rho(A+e) - rho(e), as rho(A+e) <= rho(A) + rho(e), which is the
+contraction. For l < rho(e) it is min(rho(A), rho(A+e) - l), the deletion
+when every marginal rho(A+e) - rho(A) is at least l; by submodularity the
+least marginal is rho(E) - rho(E-e). For an essentially m-bounded table and
+l in [m, k-m] each e has rho(e) <= m <= l or marginal rho(E) - rho(E-e) >=
+k-m >= l.
 """
 
 from __future__ import annotations
@@ -81,14 +91,16 @@ def _marginal(rho: RankTable, i: int) -> int:
 
 def _forced(rho: RankTable, n: int) -> CornerDecomposition:
     """tau = rho - (k-n) r with the forced coloops {e : rho(e) > n}. The caller
-    has checked that each forced coloop's marginal is at least k-n."""
-    sep = MaxSepMatroid(rho.labels, frozenset(
-        name for i, name in enumerate(rho.labels) if rho.ranks[1 << i] > n))
-    weight, coloop_mask = rho.k - n, sep.coloop_mask
-    tau = RankTable._trusted(rho.labels, n, tuple(
-        value - weight * (mask & coloop_mask).bit_count()
-        for mask, value in enumerate(rho.ranks)))
-    return CornerDecomposition(n, tau, sep)
+    has checked that each forced coloop's marginal is at least k-n. Without
+    coloops tau has rho's own ranks, an n-polymatroid as every rho(e) <= n."""
+    labels, ranks = rho.labels, rho.ranks
+    coloops = [i for i in range(len(labels)) if ranks[1 << i] > n]
+    sep = MaxSepMatroid(labels, frozenset(labels[i] for i in coloops))
+    if coloops:
+        weight, coloop_mask = rho.k - n, sum(1 << i for i in coloops)
+        ranks = tuple([value - weight * (mask & coloop_mask).bit_count()
+                       for mask, value in enumerate(ranks)])
+    return CornerDecomposition(n, RankTable._trusted(labels, n, ranks), sep)
 
 
 def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
@@ -132,8 +144,13 @@ def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposit
 def essential_bound(rho: RankTable) -> tuple[int, CornerDecomposition]:
     """Least n admitting an n-corner decomposition, with the one whose coloops
     are forced (see the module docstring). Pure in rho, so memoized."""
-    n = max((min(rho.ranks[1 << i], rho.k - _marginal(rho, i))
-             for i in range(len(rho.labels))), default=0)
+    ranks, k = rho.ranks, rho.k
+    full = len(ranks) - 1
+    slack = k - ranks[full]  # k - rho(E) + rho(E-e) = k - marginal(e)
+    n = 0
+    for i in range(len(rho.labels)):
+        bit = 1 << i
+        n = max(n, min(ranks[bit], slack + ranks[full ^ bit]))
     return n, _forced(rho, n)
 
 
@@ -225,12 +242,40 @@ def decompose_via_minors(rho: RankTable, m: int) -> CornerDecomposition:
 CollapseTag = Literal["deletion", "contraction"]
 
 
+def _collapse(ranks: tuple[int, ...], bit: int, level: int) -> CollapseTag | None:
+    """The minor that the level compression at the element with this bit
+    equals, or None when it equals neither. One pass over the subsets A of
+    E-e compares the compressed value min(rho(A) + l, rho(A+e)) - min(l, rho(e))
+    with rho(A) (deletion) and rho(A+e) - rho(e) (contraction). The predicted
+    contraction (level >= rho(e)) wins, then the deletion, then the contraction.
+    """
+    rank_e = ranks[bit]
+    base = min(level, rank_e)
+    deletion = contraction = True
+    for small in range(len(ranks)):
+        if small & bit:
+            continue
+        alone, joined = ranks[small], ranks[small | bit]
+        value = min(alone + level, joined) - base
+        deletion = deletion and value == alone
+        contraction = contraction and value == joined - rank_e
+        if not (deletion or contraction):
+            return None
+    if contraction and level >= rank_e:
+        return "contraction"
+    return "deletion" if deletion else "contraction"
+
+
 def compression_collapse(rho: RankTable, element: str, level: int) -> CollapseTag:
     """For an essentially m-bounded table and m <= level <= k-m, the level
     compression equals the deletion or the contraction; says which.
 
-    Predicted case: contraction when level >= rho({element}), else deletion.
-    A mismatch with both would be a bug and is raised loudly.
+    One pass over the rank vector compares every compressed value with the
+    deletion and the contraction; no table is built (see the module
+    docstring). The predicted contraction (level >= rho(e)) wins, then the
+    deletion, then the contraction. A table that collapses to neither would be
+    a bug; it is raised loudly with the ranks of the compression, the deletion
+    and the contraction as its witness.
     """
     if element not in rho.labels:
         raise UnknownElement(f"element {element!r} is not in the ground set",
@@ -240,21 +285,16 @@ def compression_collapse(rho: RankTable, element: str, level: int) -> CollapseTa
         raise HypothesisViolated(
             f"level must lie in [m, k-m] = [{m}, {rho.k - m}]",
             level=level, m=m, k=rho.k)
-    compressed = compress(rho, element, level)
-    deleted = rho.delete([element])
-    contracted = rho.contract([element])
-    predicted: CollapseTag = (
-        "contraction" if level >= rho.rank_of([element]) else "deletion")
-    if predicted == "contraction" and compressed == contracted:
-        return "contraction"
-    if compressed == deleted:
-        return "deletion"
-    if compressed == contracted:
-        return "contraction"
-    raise CollapseFailed(
-        "compression equals neither the deletion nor the contraction; this "
-        "should be impossible for essentially m-bounded tables",
-        element=element, level=level, m=m)
+    tag = _collapse(rho.ranks, 1 << rho.labels.index(element), level)
+    if tag is None:
+        raise CollapseFailed(
+            "compression equals neither the deletion nor the contraction; this "
+            "should be impossible for essentially m-bounded tables",
+            element=element, level=level, m=m,
+            compressed=list(compress(rho, element, level).ranks),
+            deletion=list(rho.delete([element]).ranks),
+            contraction=list(rho.contract([element]).ranks))
+    return tag
 
 
 def corner_confinement(rho: RankTable, decomposition: CornerDecomposition) -> bool:

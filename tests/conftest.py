@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pmkit import RankTable, iter_rank_tables, random_rank_table
+from pmkit import RankTable, compress, iter_rank_tables, random_rank_table
 
 LABELS = ("e", "f", "g")
 
@@ -62,3 +62,18 @@ def disjoint_subset_pairs(n):
             for i in picks:
                 b |= 1 << i
             yield a, b
+
+
+def collapse_by_minors(rho, name, level):
+    """The collapse tag by building and comparing the three tables: the
+    predicted contraction first (level >= rho(e)), then the deletion, then
+    the contraction; None when the compression equals neither."""
+    compressed = compress(rho, name, level)
+    contracted = rho.contract([name])
+    if level >= rho.rank_of([name]) and compressed == contracted:
+        return "contraction"
+    if compressed == rho.delete([name]):
+        return "deletion"
+    if compressed == contracted:
+        return "contraction"
+    return None

@@ -6,6 +6,8 @@ import pmkit as pk
 from pmkit.cli import main
 from pmkit.serialize import dumps_polymatroid, load_polymatroid
 
+from conftest import collapse_by_minors
+
 
 @pytest.fixture
 def rho_file(tmp_path, example_rho):
@@ -98,6 +100,20 @@ def test_collapse_check(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "element,level,tag"
     assert "e,2,deletion" in lines and "f,6,contraction" in lines
+
+
+def test_collapse_check_pins_three_elements(tmp_path, capsys):
+    # essential bound 2 (f is below it, g a coloop with marginal 5 = k-m)
+    rho = pk.RankTable(("e", "f", "g"), 7, (0, 1, 2, 3, 6, 7, 7, 8))
+    path = tmp_path / "t.json"
+    path.write_text(dumps_polymatroid(rho))
+    assert main(["collapse-check", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["element,level,tag"] + [
+        f"{name},{level},{collapse_by_minors(rho, name, level)}"
+        for name in rho.labels for level in range(2, 6)]
+    assert [line.split(",")[2] for line in lines[1:]] == (
+        ["contraction"] * 8 + ["deletion"] * 4)
 
 
 def test_class_check(rho_file, capsys):

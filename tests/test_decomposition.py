@@ -1,12 +1,15 @@
+import json
+import random
 from functools import cache
 
 import pytest
 
 import pmkit as pk
-from pmkit import errors
-from pmkit.decomposition import corner_regions_disjoint
+from pmkit import decomposition, errors
+from pmkit.decomposition import _collapse, corner_regions_disjoint
+from pmkit.natural import multiset_rank_oracle
 
-from conftest import LABELS
+from conftest import LABELS, collapse_by_minors
 
 
 @cache
@@ -123,6 +126,38 @@ class TestEssentialBound:
         level, d = pk.essential_bound(permu)
         assert level == 2 and d.sep.coloops == {"e", "f", "g"}
         assert d.tau.ranks == (0, 2, 2, 3, 2, 3, 3, 3)
+
+    def test_without_coloops_tau_shares_the_ranks(self):
+        u24 = pk.RankTable(("a", "b", "c", "d"), 1,
+                           (0, 1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 2))
+        level, d = pk.essential_bound(u24)
+        assert level == 1 and not d.sep.coloops
+        assert d.tau.ranks is u24.ranks
+        assert d.tau == pk.RankTable(u24.labels, 1, u24.ranks)
+
+
+class TestEssentialBoundOnRandomTables:
+    """The closed form against the exhaustive coloop scan on seeded random
+    four- and five-element tables, on both the coloop and no-coloop paths."""
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (4, 4), (5, 2), (5, 3)])
+    def test_forced_decomposition_is_least_exhaustive(self, n, k):
+        rng = random.Random(100 * n + k)
+        labels = tuple("abcde"[:n])
+        paths = set()
+        for _ in range(12):
+            rho = pk.random_rank_table(labels, k, rng)
+            level, d = pk.essential_bound(rho)
+            least = next(m for m in range(k + 1)
+                         if pk.corner_decompose_exhaustive(rho, m))
+            assert level == least, rho
+            assert d in pk.corner_decompose_exhaustive(rho, level)
+            assert pk.RankTable(labels, level, d.tau.ranks) == d.tau
+            assert d.reconstruct(k) == rho
+            if not d.sep.coloops:
+                assert d.tau.ranks is rho.ranks
+            paths.add(bool(d.sep.coloops))
+        assert paths == {False, True}
 
 
 class TestClosedFormAgainstExhaustive:
@@ -261,6 +296,51 @@ class TestCompressionCollapse:
         rho = pk.doubleton(6, 2, 8, 8)
         with pytest.raises(errors.HypothesisViolated):
             pk.compression_collapse(rho, "e", 7)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_kernel_matches_compress_at_every_level(self, k):
+        neither = 0
+        for rho in tables_upto3(k):
+            for i, name in enumerate(rho.labels):
+                for level in range(k + 1):
+                    tag = _collapse(rho.ranks, 1 << i, level)
+                    assert tag == collapse_by_minors(rho, name, level), \
+                        (rho, name, level)
+                    neither += tag is None
+        assert (neither > 0) == (k >= 2)
+
+    @pytest.mark.parametrize("k", [5, 6, 7, 8])
+    def test_collapse_matches_compress_on_bounded_levels(self, k):
+        # check 9iv's domain: every level in [m, k-m], each against the
+        # built compression, deletion and contraction
+        cases = 0
+        for rho in tables_upto3(k):
+            m, _ = pk.essential_bound(rho)
+            for name in rho.labels:
+                for level in range(m, k - m + 1):
+                    assert pk.compression_collapse(rho, name, level) == \
+                        collapse_by_minors(rho, name, level), (rho, name, level)
+                    cases += 1
+        assert cases > 0
+
+    def test_failure_carries_a_checkable_witness(self, monkeypatch):
+        rho = pk.doubleton(3, 3, 4, 4)  # rho(e) = 3 but marginal 4 - 3 = 1
+        monkeypatch.setattr(decomposition, "essential_bound",
+                            lambda table: (0, None))
+        with pytest.raises(errors.CollapseFailed) as exc:
+            pk.compression_collapse(rho, "e", 2)
+        details = exc.value.details
+        assert (details["element"], details["level"], details["m"]) == ("e", 2, 0)
+        # R(k on A, 2 on e) - R(2 on e) for A = {}, {f}, by the brute force
+        base = multiset_rank_oracle(rho, (2, 0))
+        assert details["compressed"] == [
+            multiset_rank_oracle(rho, (2, 0)) - base,
+            multiset_rank_oracle(rho, (2, 4)) - base]
+        assert details["deletion"] == list(rho.delete(["e"]).ranks)
+        assert details["contraction"] == list(rho.contract(["e"]).ranks)
+        assert details["compressed"] not in (details["deletion"],
+                                             details["contraction"])
+        assert json.loads(json.dumps(exc.value.to_json()))["details"] == details
 
     def test_sweep_matches_minor(self, small_tables):
         for (n, k), tables in small_tables.items():
