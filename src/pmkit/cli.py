@@ -159,7 +159,7 @@ def _cmd_decompose(args) -> int:
     out = {
         "n": level,
         "tau": json.loads(dumps_polymatroid(deco.tau)),
-        "coloops": sorted(deco.sep.coloops),
+        "coloops": sorted(deco.coloop_names()),
     }
     print(json.dumps(out, indent=2))
     return 0

@@ -552,9 +552,9 @@ class MaxSepMatroid:
             raise UnknownElement("coloops outside the ground set",
                                  elements=sorted(unknown))
 
-    @property
+    @functools.cached_property
     def coloop_mask(self) -> int:
-        return mask_of(self.labels, sorted(self.coloops))
+        return mask_of(self.labels, self.coloops)
 
     def rank(self, mask: int) -> int:
         return _popcount(mask & self.coloop_mask)

@@ -11,6 +11,14 @@ the forced coloops {e : rho(e) > n}: the least coloop bitmask that works.
 For k >= 2n+1 the decomposition is unique when it exists. The exhaustive
 variant, which tries every coloop set, is the oracle for these closed forms.
 
+A ``CornerDecomposition`` holds rho, n and the coloop bitmask, which
+determine it; tau and the separator r are built on first read. So
+``essential_bound`` builds no table, and callers that read only the bound
+and ``coloop_names()`` never pay for tau. Constructors that assemble tau
+some other way (``_build``, ``glue_decomposition``,
+``doubleton_canonical_tau``) validate it with the ``RankTable`` constructor
+and compare it with rho - (k-n) r.
+
 Polymatroids glue: a decomposition of rho can be assembled from
 decompositions of the deletion, contraction, and restriction at one element,
 which is what ``decompose_via_minors`` does recursively.
@@ -31,7 +39,7 @@ k-m >= l.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Literal
 
 from . import polytope
@@ -55,19 +63,45 @@ from .errors import (
 
 @dataclass(frozen=True)
 class CornerDecomposition:
+    """rho = tau + (k-n) r, held as what determines it: the source table rho,
+    the level n and the coloop bitmask of r. These three fields are its
+    equality and hash. tau and the separator r are built on first read and
+    kept. The constructors in this module check that tau is an n-polymatroid
+    first; a direct construction is trusted to name a valid decomposition.
+    """
+
+    source: RankTable          # rho, a k-polymatroid
     level: int                 # the n in rho = tau + (k-n) r
-    tau: RankTable             # an n-polymatroid (declared k = n)
-    sep: MaxSepMatroid
+    coloop_mask: int           # bit i set iff source.labels[i] is a coloop of r
+
+    @cached_property
+    def tau(self) -> RankTable:
+        """rho - (k-n) r, an n-polymatroid (declared k = n); rho's own ranks
+        when r has no coloops."""
+        rho, coloop_mask = self.source, self.coloop_mask
+        ranks = rho.ranks
+        if coloop_mask:
+            weight = rho.k - self.level
+            ranks = tuple([value - weight * (mask & coloop_mask).bit_count()
+                           for mask, value in enumerate(ranks)])
+        return RankTable._trusted(rho.labels, self.level, ranks)
+
+    @cached_property
+    def sep(self) -> MaxSepMatroid:
+        """r: a coloop at each set bit of the mask, a loop elsewhere."""
+        return MaxSepMatroid(self.source.labels, frozenset(self.coloop_names()))
 
     def reconstruct(self, k: int) -> RankTable:
         return self.tau + (k - self.level) * self.sep.to_rank_table()
 
     def coloop_names(self) -> tuple[str, ...]:
-        return tuple(name for name in self.tau.labels if name in self.sep.coloops)
+        labels, coloop_mask = self.source.labels, self.coloop_mask
+        return tuple(labels[i] for i in range(len(labels)) if coloop_mask >> i & 1)
 
 
 def _build(rho: RankTable, n: int, coloop_mask: int) -> CornerDecomposition | None:
-    """Try tau = rho - (k-n) * r for the given coloop set; None if invalid."""
+    """The decomposition with the given coloop set, or None when
+    tau = rho - (k-n) * r is not an n-polymatroid."""
     weight = rho.k - n
     tau_ranks = []
     for mask in range(1 << len(rho.labels)):
@@ -76,31 +110,15 @@ def _build(rho: RankTable, n: int, coloop_mask: int) -> CornerDecomposition | No
             return None
         tau_ranks.append(value)
     try:
-        tau = RankTable(rho.labels, n, tuple(tau_ranks))
+        RankTable(rho.labels, n, tuple(tau_ranks))
     except PmkitError:
         return None
-    coloops = frozenset(rho.labels[i] for i in range(len(rho.labels))
-                        if coloop_mask >> i & 1)
-    return CornerDecomposition(n, tau, MaxSepMatroid(rho.labels, coloops))
+    return CornerDecomposition(rho, n, coloop_mask)
 
 
 def _marginal(rho: RankTable, i: int) -> int:
     """rho(E) - rho(E-e) for the element at position i."""
     return rho.total_rank - rho.ranks[rho.full_mask ^ (1 << i)]
-
-
-def _forced(rho: RankTable, n: int) -> CornerDecomposition:
-    """tau = rho - (k-n) r with the forced coloops {e : rho(e) > n}. The caller
-    has checked that each forced coloop's marginal is at least k-n. Without
-    coloops tau has rho's own ranks, an n-polymatroid as every rho(e) <= n."""
-    labels, ranks = rho.labels, rho.ranks
-    coloops = [i for i in range(len(labels)) if ranks[1 << i] > n]
-    sep = MaxSepMatroid(labels, frozenset(labels[i] for i in coloops))
-    if coloops:
-        weight, coloop_mask = rho.k - n, sum(1 << i for i in coloops)
-        ranks = tuple([value - weight * (mask & coloop_mask).bit_count()
-                       for mask, value in enumerate(ranks)])
-    return CornerDecomposition(n, RankTable._trusted(labels, n, ranks), sep)
 
 
 def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
@@ -117,14 +135,18 @@ def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
             f"uniqueness needs 2n+1 <= k; got n={n}, k={rho.k} "
             "(use corner_decompose_exhaustive)", n=n, k=rho.k)
     weight = rho.k - n
+    coloop_mask = 0
     for i, name in enumerate(rho.labels):
+        if rho.ranks[1 << i] <= n:
+            continue
         marginal = _marginal(rho, i)
-        if rho.ranks[1 << i] > n and marginal < weight:
+        if marginal < weight:
             raise NotDecomposable(
                 f"no {n}-corner decomposition: coloop {name} has marginal "
                 f"rho(E) - rho(E-{name}) = {marginal} < k-n = {weight}",
                 n=n, element=name, marginal=marginal)
-    return _forced(rho, n)
+        coloop_mask |= 1 << i
+    return CornerDecomposition(rho, n, coloop_mask)
 
 
 def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposition]:
@@ -143,15 +165,22 @@ def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposit
 @lru_cache(maxsize=1 << 16)
 def essential_bound(rho: RankTable) -> tuple[int, CornerDecomposition]:
     """Least n admitting an n-corner decomposition, with the one whose coloops
-    are forced (see the module docstring). Pure in rho, so memoized."""
+    are forced (see the module docstring). Builds no table: the decomposition
+    holds rho, n and the coloop bitmask, and builds tau and the separator on
+    first read. Pure in rho, so memoized."""
     ranks, k = rho.ranks, rho.k
     full = len(ranks) - 1
     slack = k - ranks[full]  # k - rho(E) + rho(E-e) = k - marginal(e)
+    size = len(rho.labels)
     n = 0
-    for i in range(len(rho.labels)):
+    for i in range(size):
         bit = 1 << i
         n = max(n, min(ranks[bit], slack + ranks[full ^ bit]))
-    return n, _forced(rho, n)
+    coloop_mask = 0
+    for i in range(size):
+        if ranks[1 << i] > n:
+            coloop_mask |= 1 << i
+    return n, CornerDecomposition(rho, n, coloop_mask)
 
 
 def glue_decomposition(rho: RankTable, element: str,
@@ -200,9 +229,9 @@ def glue_decomposition(rho: RankTable, element: str,
     r_values = glue(lambda s: deletion.sep.rank(s),
                     lambda s: contraction.sep.rank(s),
                     restriction.sep.rank(1))
-    coloops = frozenset(rho.labels[i] for i in range(n) if r_values[1 << i] == 1)
-    sep = MaxSepMatroid(rho.labels, coloops)
-    if any(r_values[mask] != sep.rank(mask) for mask in range(1 << n)):
+    coloop_mask = sum(1 << i for i in range(n) if r_values[1 << i] == 1)
+    glued = CornerDecomposition(rho, m, coloop_mask)
+    if any(r_values[mask] != glued.sep.rank(mask) for mask in range(1 << n)):
         raise ReconstructionFailure(
             "glued separator is not maximally separated; deletion and "
             "contraction disagree on a coloop")
@@ -211,8 +240,8 @@ def glue_decomposition(rho: RankTable, element: str,
     except PmkitError as err:
         raise ReconstructionFailure(
             f"glued residual is not an {m}-polymatroid: {err}") from err
-    glued = CornerDecomposition(m, tau, sep)
-    if glued.reconstruct(rho.k) != rho:
+    # glued.tau is rho - (k-m) r, so this is tau + (k-m) r == rho
+    if tau != glued.tau:
         raise ReconstructionFailure("glued decomposition does not reconstruct "
                                     "the input")
     return glued
@@ -302,7 +331,7 @@ def corner_confinement(rho: RankTable, decomposition: CornerDecomposition) -> bo
     [(k-n) r(e), (k-n) r(e) + n] per coordinate."""
     n = decomposition.level
     weight = rho.k - n
-    anchors = [weight * decomposition.sep.rank(1 << i)
+    anchors = [weight * (decomposition.coloop_mask >> i & 1)
                for i in range(len(rho.labels))]
     for point in polytope.lattice_points(rho, restrict_to_base=True):
         for x, anchor in zip(point, anchors):
@@ -365,10 +394,10 @@ def doubleton_canonical_tau(rank_e: int, rank_f: int, total: int,
     # beta*U(1,2) + ((reduced_e-beta)*U(1,1) (+) (reduced_f-beta)*U(1,1)),
     # written out pointwise: the overlap beta is shared, the rest splits.
     tau = RankTable(labels, a - 1, (0, reduced_e, reduced_f, reduced_total))
-    sep = MaxSepMatroid(labels, frozenset(
-        name for name, flag in zip(labels, (pat_e, pat_f)) if flag))
-    built = CornerDecomposition(a - 1, tau, sep)
-    if built.reconstruct(k) != doubleton(rank_e, rank_f, total, k, labels):
+    built = CornerDecomposition(doubleton(rank_e, rank_f, total, k, labels),
+                                a - 1, pat_e | pat_f << 1)
+    # built.tau is rho - (k-a+1) r, so this is tau + (k-a+1) r == rho
+    if tau != built.tau:
         raise ReconstructionFailure("canonical residual failed to reconstruct "
                                     "the input")  # pragma: no cover
     return built

@@ -56,3 +56,11 @@ def test_expected_failures_are_exactly_the_published_claims(results):
 def test_check_index_matches_reported_metadata(results):
     for cid, suite, _ in verify.CHECK_INDEX:
         assert results[cid].suite == suite
+
+
+def test_decomposition_checks_keep_their_case_counts(results):
+    assert results["9iii"].detail == ("2462 decomposable cases, exhaustive "
+                                      "|E| <= 3 for k in (4,7,8)")
+    # the detail ends with the elapsed seconds
+    assert results["9iv"].detail.startswith(
+        "139888 (element, level) cases, exhaustive |E| <= 3, k <= 8, ")

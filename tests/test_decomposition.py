@@ -5,7 +5,7 @@ from functools import cache
 import pytest
 
 import pmkit as pk
-from pmkit import decomposition, errors
+from pmkit import core, decomposition, errors
 from pmkit.decomposition import _collapse, corner_regions_disjoint
 from pmkit.natural import multiset_rank_oracle
 
@@ -136,6 +136,31 @@ class TestEssentialBound:
         assert d.tau == pk.RankTable(u24.labels, 1, u24.ranks)
 
 
+class TestLazyDecomposition:
+    def test_bound_and_collapse_build_no_table(self, monkeypatch):
+        rho = pk.doubleton(6, 2, 8, 8)
+        decomposition.essential_bound.cache_clear()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a table")
+
+        monkeypatch.setattr(pk.RankTable, "_trusted", refuse)
+        monkeypatch.setattr(decomposition, "MaxSepMatroid", refuse)
+        level, d = pk.essential_bound(rho)
+        assert (level, d.coloop_names()) == (2, ("e",))
+        assert pk.compression_collapse(rho, "e", 2) == "deletion"
+        monkeypatch.undo()
+        assert d.tau == pk.RankTable(rho.labels, 2, (0, 0, 2, 2))
+        assert d.sep == _sep(rho.labels, "e")
+        assert d.reconstruct(8) == rho
+
+    def test_separator_mask_is_computed_once(self, monkeypatch):
+        sep = _sep(("e", "f", "g"), "e", "g")
+        assert sep.coloop_mask == 0b101
+        monkeypatch.setattr(core, "mask_of", None)
+        assert [sep.rank(mask) for mask in range(8)] == [0, 1, 0, 1, 1, 2, 1, 2]
+
+
 class TestEssentialBoundOnRandomTables:
     """The closed form against the exhaustive coloop scan on seeded random
     four- and five-element tables, on both the coloop and no-coloop paths."""
@@ -163,15 +188,25 @@ class TestEssentialBoundOnRandomTables:
 class TestClosedFormAgainstExhaustive:
     """The closed forms against the exhaustive coloop scan, at every level."""
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     def test_essential_bound_is_least_exhaustive_level(self, k):
+        # found[0] is _build at the least working coloop mask, whose tau went
+        # through the validating constructor; d's tau and separator are built
+        # on first read and must agree with it field by field
         for rho in tables_upto3(k):
             level, d = pk.essential_bound(rho)
             for n in range(k + 1):
                 found = pk.corner_decompose_exhaustive(rho, n)
                 assert bool(found) == (n >= level), (rho, n)
                 if n == level:
-                    assert d == found[0]
+                    eager = found[0]
+                    assert d == eager and hash(d) == hash(eager)
+                    assert d.level == eager.level == level
+                    assert d.coloop_names() == eager.coloop_names()
+                    assert d.sep == eager.sep
+                    assert d.tau == eager.tau
+                    assert d.tau == pk.RankTable(rho.labels, level, d.tau.ranks)
+                    assert d.reconstruct(k) == rho
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_rejects_exactly_below_the_bound(self, k):
@@ -230,6 +265,20 @@ class TestGlue:
             assert glued.tau == direct.tau and glued.sep == direct.sep
             hits += 1
         assert hits > 0
+
+    def test_wrong_but_valid_contraction_piece_is_caught(self):
+        rho = pk.doubleton(1, 1, 2, 4)
+        contraction = pk.corner_decompose(pk.RankTable(("f",), 4, (0, 0)), 1)
+        assert rho.contract(["e"]).ranks == (0, 1)
+        # the glued residual (0, 1, 1, 1) is a 1-polymatroid, but not rho's
+        pk.RankTable(rho.labels, 1, (0, 1, 1, 1))
+        with pytest.raises(errors.ReconstructionFailure,
+                           match="does not reconstruct"):
+            pk.glue_decomposition(
+                rho, "e",
+                pk.corner_decompose(rho.delete(["e"]), 1),
+                contraction,
+                pk.corner_decompose(rho.restrict(["e"]), 1))
 
     def test_level_mismatch(self, example_rho):
         rho = pk.doubleton(8, 8, 16, 8)

@@ -46,3 +46,27 @@ def test_install_and_remove_restore_every_binding():
     assert metrics["decomposition.compression_collapse.calls"] == 1
     assert metrics["decomposition.essential_bound.calls"] == 1
     assert 0.0 <= metrics["decomposition.essential_bound.hit_ratio"] <= 1.0
+
+
+def test_bound_cache_is_seen_through_the_tracer():
+    # --trace 1 reads the hit ratio from essential_bound's lru_cache, so the
+    # traced binding must still reach the cache, and reading the lazy pieces
+    # of a cached decomposition must not call the bound again
+    tracing = _load_tracing()
+    rho = pk.doubleton(6, 2, 8, 8)
+    decomposition.essential_bound.cache_clear()
+    tracer = tracing.Tracer("t").install()
+    try:
+        first = decomposition.essential_bound(rho)
+        level, dec = decomposition.essential_bound(rho)
+        assert dec is first[1]
+        assert dec.coloop_names() == ("e",)
+        assert dec.tau.ranks == (0, 0, 2, 2)
+    finally:
+        tracer.remove()
+    info = decomposition.essential_bound.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    metrics = tracer.metrics()
+    assert metrics["decomposition.essential_bound.calls"] == 2
+    assert metrics["decomposition.essential_bound.hit_ratio"] == 0.5
+    assert metrics["core.validate.calls"] == 0
