@@ -26,6 +26,13 @@ vectors are decoded from offsets only for a witness.
 Minors never gain nullity, and a rank-a0, size-b0 uniform target needs
 nullity b0 - a0, so a table whose expansion has nullity k|E| - r(M) below
 that is rejected before any profile is visited.
+
+Class verdicts are cached by rank vector, up to _CLASS_CACHE_SIZE entries,
+oldest first out. Each entry holds the witness in its vector's own
+coordinates, or None inside the class. A table's own vector is looked up
+first, so a table the search has already built costs one dict lookup; only
+on a miss is the table canonically labelled and its canonical form looked
+up, and only on a miss there is the detector run.
 """
 
 from __future__ import annotations
@@ -246,40 +253,58 @@ def _relabel(witness: MinorWitness, order: Sequence[int]) -> MinorWitness:
                         tuple(witness.keep[p] for p in order), witness.target)
 
 
-def _cached_witness(rho: RankTable, spec: ClassSpec,
-                    prune: bool) -> tuple[MinorWitness | None, tuple[int, ...]]:
-    """The class witness in canonical coordinates (None inside the class) and
-    rho's canonical permutation, detecting and caching on a miss."""
+def _store(key: tuple, witness: MinorWitness | None) -> None:
+    if len(_CLASS_CACHE) >= _CLASS_CACHE_SIZE:
+        del _CLASS_CACHE[next(iter(_CLASS_CACHE))]
+    _CLASS_CACHE[key] = witness
+
+
+def _witness(rho: RankTable, spec: ClassSpec,
+             prune: bool) -> MinorWitness | None:
+    """The class witness in rho's labelling, or None inside the class.
+
+    _CLASS_CACHE maps (a, b, k, V, prune), V a rank vector, to the witness in
+    V's own coordinates (or None). rho's own vector is looked up first; on a
+    miss, its canonical form is, and on a miss there the witness is detected
+    and stored under the form in canonical coordinates. The witness in rho's
+    labelling is then stored under rho's vector. A canonical form's least
+    permutation is the identity, so when rho's vector is its own form the
+    two keys are one entry with one meaning.
+    """
     if rho.k != spec.k:
         raise KMismatch("table k does not match the class k",
                         table=rho.k, cls=spec.k)
+    own = (spec.a, spec.b, spec.k, rho.ranks, prune)
+    witness = _CLASS_CACHE.get(own, _MISS)
+    if witness is not _MISS:
+        return witness
     form, perm = canonical_labelling(rho)
     key = (spec.a, spec.b, spec.k, form, prune)
-    cached = _CLASS_CACHE.get(key, _MISS)
-    if cached is _MISS:
+    canonical = _CLASS_CACHE.get(key, _MISS)
+    if canonical is _MISS:
         grid = MultisetRankGrid(rho)
-        witness = None
         for a0, b0 in spec.targets:
             witness = _detect(rho, a0, b0, prune=prune, grid=grid)
             if witness is not None:
                 break
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
-        cached = None if witness is None else _relabel(witness, inverse)
-        if len(_CLASS_CACHE) >= _CLASS_CACHE_SIZE:
-            del _CLASS_CACHE[next(iter(_CLASS_CACHE))]
-        _CLASS_CACHE[key] = cached
-    return cached, perm
+        _store(key, None if witness is None else _relabel(witness, inverse))
+    else:
+        witness = None if canonical is None else _relabel(canonical, perm)
+    if key != own:
+        _store(own, witness)
+    return witness
 
 
 def in_class(rho: RankTable, spec: ClassSpec, prune: bool = True) -> bool:
-    return _cached_witness(rho, spec, prune)[0] is None
+    return _witness(rho, spec, prune) is None
 
 
 def class_membership(rho: RankTable, spec: ClassSpec,
                      prune: bool = True) -> tuple[bool, MinorWitness | None]:
     """Membership plus, when outside, a witness minor in rho's labelling."""
-    witness, perm = _cached_witness(rho, spec, prune)
-    return witness is None, None if witness is None else _relabel(witness, perm)
+    witness = _witness(rho, spec, prune)
+    return witness is None, witness
 
 
 def is_excluded_minor(rho: RankTable, spec: ClassSpec) -> bool:
@@ -474,10 +499,11 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     Candidate tables are generated with monotonicity/submodularity propagated
     as branch bounds. A subtree is skipped as soon as the restriction to a
     proper subset, fixed once that subset has its rank, falls outside the
-    class (membership is cached by canonical form). A table that is reached
-    therefore has all its deletions in the class; it is screened through its
-    single-element contractions before the membership test runs on the table
-    itself. The budget counts only the nodes the walk tries.
+    class (membership is cached by rank vector, then by canonical form). A
+    table that is reached therefore has all its deletions in the class; it is
+    screened through its single-element contractions before the membership
+    test runs on the table itself. The budget counts only the nodes the walk
+    tries.
 
     The walk also cuts every table whose singleton ranks decrease in label
     order. Tables are yielded in rank-vector lex order with the singletons

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 from . import natural
 from .core import RankTable, mask_of, subset_name
-from .errors import DimensionMismatch, OverlappingSets
+from .errors import DimensionMismatch, InvalidParams, OverlappingSets
 
 Point = tuple  # of int | Fraction, one coordinate per ground label
 
@@ -106,7 +106,8 @@ class MinorFace:
 
 
 def minor_face(rho: RankTable, contract_names: Iterable[str],
-               delete_names: Iterable[str], pin: str = "chain") -> MinorFace:
+               delete_names: Iterable[str], pin: str = "chain",
+               grid: natural.MultisetRankGrid | None = None) -> MinorFace:
     """Slice of the independence polytope matching the minor rho/A1\\A2.
 
     pin="chain" (default) fixes each contracted coordinate at its rank
@@ -114,6 +115,10 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
     slice is then a translate of the minor's independence polytope.
     pin="singleton" fixes each at rho({e}) instead, which agrees with "chain"
     whenever rho is additive on A1 and otherwise cuts an empty slice.
+
+    ``grid`` is rho's count grid on the singleton-rank box, built here when
+    not given; a caller slicing one table many times builds it once. A grid
+    of another table or box raises ``InvalidParams``.
     """
     a1 = mask_of(rho.labels, contract_names)
     a2 = mask_of(rho.labels, delete_names)
@@ -122,6 +127,11 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
                               shared=subset_name(rho.labels, a1 & a2))
     if pin not in ("chain", "singleton"):
         raise ValueError(f"unknown pinning {pin!r}")
+    if grid is None:
+        grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
+    elif grid.rho != rho or grid.limits != rho.singleton_ranks():
+        raise InvalidParams("grid is not the singleton-rank grid of this table",
+                            limits=list(grid.limits))
     n = len(rho.labels)
     pins: dict[str, int] = {}
     chain_pins: dict[str, int] = {}
@@ -144,7 +154,6 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
             fixed[i] = pins[rho.labels[i]]
     # pins never exceed the singleton ranks, so the slice lies in the grid's
     # box; its free coordinates expand one base offset in lex order
-    grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
     offsets = [sum(v * s for v, s in zip(fixed, grid.strides))]
     sums = [sum(fixed)]
     for i in free:

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import itertools
+import random
 from operator import mul
 
 import pytest
@@ -254,16 +255,87 @@ class TestClassCache:
         tables = list(pk.iter_rank_tables(LABELS[:2], 4))
         kept = []  # the keys a first-in first-out cache of 5 holds
         for rho in tables + tables[:8]:  # the repeats were evicted long ago
+            # a miss on rho's own vector stores the form's key if that
+            # missed too, then rho's own key unless it is the form's
+            own = (2, 4, 4, rho.ranks, True)
+            form = (2, 4, 4, pk.core.canonical_labelling(rho)[0], True)
+            if own not in kept:
+                for key in (form, own):
+                    if key not in kept:
+                        kept = (kept + [key])[-5:]
             member, witness = pk.class_membership(rho, spec)
             assert len(pk.minors._CLASS_CACHE) <= 5
             hits = [pk.has_uniform_minor(rho, a0, b0)[0] for a0, b0 in spec.targets]
             assert member == (not any(hits))
             assert member or pk.check_witness(rho, witness)
-            key = (2, 4, 4, pk.core.canonical_labelling(rho)[0], True)
-            if key not in kept:
-                kept = (kept + [key])[-5:]
         assert list(pk.minors._CLASS_CACHE) == kept
         assert len({pk.canonical_form(rho) for rho in tables}) > 5
+        pk.minors._CLASS_CACHE.clear()
+
+
+def relabellings(rho):
+    """rho with its ranks moved by every permutation of its positions."""
+    n = len(rho.labels)
+    for perm in itertools.permutations(range(n)):
+        ranks = tuple(rho.ranks[sum(1 << perm[i] for i in range(n) if mask >> i & 1)]
+                      for mask in range(1 << n))
+        yield pk.RankTable(rho.labels, rho.k, ranks)
+
+
+class TestExactVectorLookup:
+    """The class cache is looked up on the table's own rank vector before its
+    canonical form; an entry holds the witness in its vector's coordinates."""
+
+    SPEC = ClassSpec(2, 4, 4)
+
+    def assert_warm_matches_cold(self, rho):
+        def holds(table, member, witness):
+            # ranks from multiset_rank, memoized, to keep the sweep quick
+            rank = functools.cache(functools.partial(multiset_rank, table))
+            return member or pk.check_witness(table, witness, rank)
+
+        cache = pk.minors._CLASS_CACHE
+        cache.clear()
+        # warm: each relabelling after the earlier ones of its class
+        tables = list(relabellings(rho))
+        warm = [pk.class_membership(table, self.SPEC) for table in tables]
+        for (_, _, k, ranks, _), witness in cache.items():
+            assert holds(pk.RankTable(rho.labels, k, ranks), witness is None, witness)
+        assert [pk.class_membership(table, self.SPEC) for table in tables] == warm
+        for table, (member, witness) in zip(tables, warm):
+            assert holds(table, member, witness)
+            cache.clear()
+            cold = pk.class_membership(table, self.SPEC)
+            assert cold[0] == member and holds(table, *cold)
+            assert pk.class_membership(table, self.SPEC) == cold
+
+    def test_every_small_table(self):
+        for n in range(4):
+            for rho in pk.iter_rank_tables(LABELS[:n], 4):
+                self.assert_warm_matches_cold(rho)
+        pk.minors._CLASS_CACHE.clear()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_seeded_larger_tables(self, n):
+        rng = random.Random(4000 + n)
+        labels = pk.core.DEFAULT_LABELS[:n]
+        for _ in range(10):
+            self.assert_warm_matches_cold(pk.random_rank_table(labels, 4, rng))
+        pk.minors._CLASS_CACHE.clear()
+
+    def test_repeat_needs_no_labelling_or_detection(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact-vector entry was not used")
+
+        pk.minors._CLASS_CACHE.clear()
+        tables = [pk.doubleton(3, 4, 5, 4), pk.doubleton(1, 3, 4, 4),
+                  pk.RankTable(("e", "f"), 4, (0, 4, 3, 5))]
+        first = [pk.class_membership(rho, self.SPEC) for rho in tables]
+        monkeypatch.setattr(pk.minors, "canonical_labelling", refuse)
+        monkeypatch.setattr(pk.minors, "_detect", refuse)
+        assert [pk.class_membership(rho, self.SPEC) for rho in tables] == first
+        assert [pk.in_class(rho, self.SPEC) for rho in tables] == [f[0] for f in first]
+        assert not first[2][0] and pk.check_witness(tables[2], first[2][1])
         pk.minors._CLASS_CACHE.clear()
 
 
@@ -549,6 +621,45 @@ class TestFourElementCatalog:
         records = pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4,
                                      budget=10_000)
         assert len(records) == 11
+
+    def test_search_labels_each_rank_vector_once(self, monkeypatch):
+        # the class cache is looked up on the exact rank vector first, so
+        # only the 374 distinct vectors the search meets are canonically
+        # labelled (5,933 labellings when every lookup went through the form)
+        labelled, grids = [0], [0]
+        labelling = pk.minors.canonical_labelling
+        grid_init = pk.natural.MultisetRankGrid.__init__
+
+        def counted_labelling(rho):
+            labelled[0] += 1
+            return labelling(rho)
+
+        def counted_grid_init(self, *args, **kwargs):
+            grids[0] += 1
+            grid_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pk.minors, "canonical_labelling", counted_labelling)
+        monkeypatch.setattr(pk.natural.MultisetRankGrid, "__init__", counted_grid_init)
+        pk.minors._CLASS_CACHE.clear()
+        records = pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4)
+        assert [r.canonical for r in records] == CATALOG_244
+        assert (labelled[0], grids[0]) == (374, 226)
+
+
+class TestFiveElementCatalog:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return pk.search_excluded(ClassSpec(2, 4, 4), max_elements=5)
+
+    def test_no_five_element_records(self, records):
+        assert [sum(r.size == n for r in records) for n in (1, 2, 3, 4, 5)] == [1, 5, 0, 5, 0]
+        assert [r.canonical for r in records] == CATALOG_244
+
+    def test_witnesses_hold(self, records):
+        for record in records:
+            rho = record.polymatroid
+            oracle = functools.cache(functools.partial(multiset_rank_oracle, rho))
+            assert pk.check_witness(rho, record.witness, oracle)
 
 
 # sha256 of repr([r.canonical for r in records]) for the (3,7,8) catalog on

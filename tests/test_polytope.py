@@ -145,6 +145,31 @@ class TestGridAgainstSubsetLoop:
                         tuple(p[i] for i in range(n) if not (a1 | a2) >> i & 1)
                         for p in points]
 
+    def test_minor_face_takes_a_prebuilt_grid(self):
+        # k <= 2 keeps this quick; check 10b slices every k <= 4 table with
+        # |E| <= 3 through one shared grid per table
+        for rho in property_tables():
+            n = len(rho.labels)
+            if n > 4 or rho.k > 2:
+                continue
+            grid = MultisetRankGrid(rho, rho.singleton_ranks())
+            for a1, a2 in itertools.product(range(1 << n), repeat=2):
+                if a1 & a2:
+                    continue
+                contract = [rho.labels[i] for i in range(n) if a1 >> i & 1]
+                delete = [rho.labels[i] for i in range(n) if a2 >> i & 1]
+                for pin in ("chain", "singleton"):
+                    assert (minor_face(rho, contract, delete, pin=pin, grid=grid)
+                            == minor_face(rho, contract, delete, pin=pin))
+
+    def test_minor_face_rejects_another_grid(self, example_rho):
+        other = pk.RankTable(("e", "f"), 3, (0, 3, 2, 5))  # same box, other ranks
+        for grid in (MultisetRankGrid(example_rho),  # the [0,k]^E box
+                     MultisetRankGrid(example_rho, (3, 1)),
+                     MultisetRankGrid(other, other.singleton_ranks())):
+            with pytest.raises(errors.InvalidParams):
+                minor_face(example_rho, ["e"], [], grid=grid)
+
     def test_oracles_never_build_a_grid(self, monkeypatch):
         class Refused(Exception):
             pass
