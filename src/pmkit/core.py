@@ -44,6 +44,20 @@ def subset_name(labels: Sequence[str], mask: int) -> str:
     return ",".join(labels[i] for i in range(len(labels)) if mask >> i & 1)
 
 
+# Bound on the ground sets whose subset names are cached; each entry is 2^n
+# short strings.
+_SUBSET_NAME_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_SUBSET_NAME_TABLES)
+def _subset_names(labels: Labels) -> tuple[str, ...]:
+    """subset_name(labels, mask) for every mask, indexed by mask."""
+    names = [""]
+    for label in labels:
+        names += [f"{name},{label}" if name else label for name in names]
+    return tuple(names)
+
+
 def mask_of(labels: Sequence[str], names: Iterable[str]) -> int:
     mask = 0
     for name in names:
@@ -69,12 +83,43 @@ def _check_ground(labels: Labels) -> None:
                                  label=name)
 
 
+def _violations(ranks: Sequence[int]) -> tuple[list[tuple[int, int]],
+                                                 list[tuple[int, int, int]]]:
+    """The axiom violations of a rank vector of length 2^n, read off _plan(n)
+    in one comprehension pass each: the covers where the rank drops, as
+    (B, A) with A = B - e and rho(A) > rho(B), and the pairs where it is not
+    submodular, as (A, A+e, A+f) with e < f and
+    rho(A+e) + rho(A+f) < rho(A+e+f) + rho(A).
+
+    Monotonicity on covers and submodularity on such pairs are equivalent to
+    the full quantifier versions. Both lists are empty exactly when rho is
+    monotone and submodular.
+    """
+    plan = _plan(len(ranks).bit_length() - 1)
+    drops = [(mask, low) for mask, lower, _ in plan for low in lower
+             if ranks[low] > ranks[mask]]
+    pairs = [(z, x, y) for mask, _, triples in plan for x, y, z in triples
+             if ranks[x] + ranks[y] < ranks[mask] + ranks[z]]
+    return drops, pairs
+
+
+def _is_polymatroid(ranks: Sequence[int], k: int) -> bool:
+    """Whether a rank vector of length 2^n is a k-polymatroid: normalized,
+    monotone, submodular, every singleton rank at most k. Monotonicity from
+    rho(empty) = 0 makes every rank nonnegative."""
+    n = len(ranks).bit_length() - 1
+    drops, pairs = _violations(ranks)
+    return (ranks[0] == 0 and not drops and not pairs
+            and all(ranks[1 << i] <= k for i in range(n)))
+
+
 def _check_axioms(labels: Labels, k: int, ranks: Sequence[int]) -> None:
     """Raise the first violated axiom, with witness subsets.
 
-    Monotonicity is checked on covers and submodularity on pairs
-    (A+{e}, A+{f}); both local forms are equivalent to the full
-    quantifier versions.
+    "First" is the order of an ascending scan: every cover (B-e, B) by B,
+    then e, before every pair (A+e, A+f) by A, then e, then f. The
+    violations are listed in one pass (see _violations) and the least one
+    is raised.
     """
     n = len(labels)
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
@@ -88,22 +133,17 @@ def _check_axioms(labels: Labels, k: int, ranks: Sequence[int]) -> None:
                                  subset=subset_name(labels, mask), value=value)
     if ranks[0] != 0:
         raise NotNormalized("rank of the empty set must be 0", value=ranks[0])
-    for mask in range(1, 1 << n):
-        for i in range(n):
-            if mask >> i & 1 and ranks[mask ^ (1 << i)] > ranks[mask]:
-                raise NotMonotone(
-                    "rank decreases from "
-                    f"{{{subset_name(labels, mask ^ (1 << i))}}} to {{{subset_name(labels, mask)}}}",
-                    a=subset_name(labels, mask ^ (1 << i)), b=subset_name(labels, mask))
-    for mask in range(1 << n):
-        free = [i for i in range(n) if not mask >> i & 1]
-        for i, j in itertools.combinations(free, 2):
-            a, b = mask | 1 << i, mask | 1 << j
-            if ranks[a] + ranks[b] < ranks[a | b] + ranks[mask]:
-                raise NotSubmodular(
-                    f"rank({{{subset_name(labels, a)}}}) + rank({{{subset_name(labels, b)}}}) "
-                    f"< rank(union) + rank(intersection)",
-                    a=subset_name(labels, a), b=subset_name(labels, b))
+    drops, pairs = _violations(ranks)
+    if drops:
+        # ascending B, then ascending e, that is descending B - e
+        mask, low = min(drops, key=lambda drop: (drop[0], -drop[1]))
+        a, b = subset_name(labels, low), subset_name(labels, mask)
+        raise NotMonotone(f"rank decreases from {{{a}}} to {{{b}}}", a=a, b=b)
+    if pairs:
+        _, a, b = (subset_name(labels, mask) for mask in min(pairs))
+        raise NotSubmodular(
+            f"rank({{{a}}}) + rank({{{b}}}) < rank(union) + rank(intersection)",
+            a=a, b=b)
     for i in range(n):
         if ranks[1 << i] > k:
             raise ExceedsK(f"rank of {{{labels[i]}}} exceeds k={k}",
@@ -289,16 +329,16 @@ def validate(ground: Iterable[str], k: int, ranks) -> RankTable:
             f"k={k} exceeds the configured limit {config.max_k()} "
             "(override with PMKIT_MAX_K)", k=k)
     if isinstance(ranks, dict):
-        n = len(labels)
-        expected = [subset_name(labels, mask) for mask in range(1 << n)]
+        expected = _subset_names(labels)
         missing = [key for key in expected if key not in ranks]
         if missing:
             raise MalformedInput(f"missing subset keys: {missing[:4]}",
                                  missing=missing)
-        extra = sorted(set(ranks) - set(expected))
-        if extra:
+        # every expected key is present, so any further key is unknown
+        if len(ranks) != len(expected):
+            extra = sorted(set(ranks) - set(expected))
             raise MalformedInput(f"unknown subset keys: {extra[:4]}", extra=extra)
-        dense = tuple(ranks[key] for key in expected)
+        dense = tuple(map(ranks.__getitem__, expected))
     else:
         dense = tuple(ranks)
     return RankTable(labels, k, dense)

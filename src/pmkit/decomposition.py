@@ -14,8 +14,10 @@ variant, which tries every coloop set, is the oracle for these closed forms.
 A ``CornerDecomposition`` holds rho, n and the coloop bitmask, which
 determine it; tau and the separator r are built on first read. So
 ``essential_bound`` builds no table, and callers that read only the bound
-and ``coloop_names()`` never pay for tau. Constructors that assemble tau
-some other way (``_build``, ``glue_decomposition``,
+and ``coloop_names()`` never pay for tau. A direct construction is checked
+against the closed form above. ``_build`` asks the axiom test of
+``core._is_polymatroid`` about tau instead, and the constructors that
+assemble tau some other way (``glue_decomposition``,
 ``doubleton_canonical_tau``) validate it with the ``RankTable`` constructor
 and compare it with rho - (k-n) r.
 
@@ -44,7 +46,7 @@ from typing import Literal
 
 from . import polytope
 from .compression import compress
-from .core import MaxSepMatroid, RankTable, doubleton
+from .core import MaxSepMatroid, RankTable, _is_polymatroid, doubleton
 from .errors import (
     CollapseFailed,
     HypothesisViolated,
@@ -66,13 +68,52 @@ class CornerDecomposition:
     """rho = tau + (k-n) r, held as what determines it: the source table rho,
     the level n and the coloop bitmask of r. These three fields are its
     equality and hash. tau and the separator r are built on first read and
-    kept. The constructors in this module check that tau is an n-polymatroid
-    first; a direct construction is trusted to name a valid decomposition.
+    kept.
+
+    A direct construction is checked in O(|E|) by the closed form of the
+    module docstring: the mask lies inside the ground set, 0 <= n <= k,
+    every non-coloop e has rho(e) <= n and every coloop e has marginal
+    rho(E) - rho(E-e) >= k-n. ``corner_decompose`` relies on this check;
+    the other constructors in this module establish validity themselves and
+    build through ``_trusted``.
     """
 
     source: RankTable          # rho, a k-polymatroid
     level: int                 # the n in rho = tau + (k-n) r
     coloop_mask: int           # bit i set iff source.labels[i] is a coloop of r
+
+    def __post_init__(self):
+        rho, n, coloop_mask = self.source, self.level, self.coloop_mask
+        if not isinstance(coloop_mask, int) or not 0 <= coloop_mask <= rho.full_mask:
+            raise UnknownElement("coloop mask lies outside the ground set",
+                                 coloop_mask=coloop_mask, ground=list(rho.labels))
+        if not isinstance(n, int) or not 0 <= n <= rho.k:
+            raise InvalidParams("n must lie in [0, k]", n=n, k=rho.k)
+        weight = rho.k - n
+        for i, name in enumerate(rho.labels):
+            if coloop_mask >> i & 1:
+                marginal = _marginal(rho, i)
+                if marginal < weight:
+                    raise NotDecomposable(
+                        f"no {n}-corner decomposition: coloop {name} has marginal "
+                        f"rho(E) - rho(E-{name}) = {marginal} < k-n = {weight}",
+                        n=n, element=name, marginal=marginal)
+            elif rho.ranks[1 << i] > n:
+                raise NotDecomposable(
+                    f"no {n}-corner decomposition: non-coloop {name} has rank "
+                    f"{rho.ranks[1 << i]} > n = {n}",
+                    n=n, element=name, rank=rho.ranks[1 << i])
+
+    @classmethod
+    def _trusted(cls, source: RankTable, level: int,
+                 coloop_mask: int) -> "CornerDecomposition":
+        """Skip the check; callers guarantee validity, or check the
+        decomposition themselves before handing it out."""
+        built = object.__new__(cls)
+        object.__setattr__(built, "source", source)
+        object.__setattr__(built, "level", level)
+        object.__setattr__(built, "coloop_mask", coloop_mask)
+        return built
 
     @cached_property
     def tau(self) -> RankTable:
@@ -101,19 +142,14 @@ class CornerDecomposition:
 
 def _build(rho: RankTable, n: int, coloop_mask: int) -> CornerDecomposition | None:
     """The decomposition with the given coloop set, or None when
-    tau = rho - (k-n) * r is not an n-polymatroid."""
+    tau = rho - (k-n) * r is not an n-polymatroid, asked of the axioms
+    directly rather than of the closed form."""
     weight = rho.k - n
-    tau_ranks = []
-    for mask in range(1 << len(rho.labels)):
-        value = rho.ranks[mask] - weight * (mask & coloop_mask).bit_count()
-        if value < 0:
-            return None
-        tau_ranks.append(value)
-    try:
-        RankTable(rho.labels, n, tuple(tau_ranks))
-    except PmkitError:
+    tau_ranks = [value - weight * (mask & coloop_mask).bit_count()
+                 for mask, value in enumerate(rho.ranks)]
+    if not _is_polymatroid(tau_ranks, n):
         return None
-    return CornerDecomposition(rho, n, coloop_mask)
+    return CornerDecomposition._trusted(rho, n, coloop_mask)
 
 
 def _marginal(rho: RankTable, i: int) -> int:
@@ -134,18 +170,9 @@ def corner_decompose(rho: RankTable, n: int) -> CornerDecomposition:
         raise UniquenessRegimeViolated(
             f"uniqueness needs 2n+1 <= k; got n={n}, k={rho.k} "
             "(use corner_decompose_exhaustive)", n=n, k=rho.k)
-    weight = rho.k - n
-    coloop_mask = 0
-    for i, name in enumerate(rho.labels):
-        if rho.ranks[1 << i] <= n:
-            continue
-        marginal = _marginal(rho, i)
-        if marginal < weight:
-            raise NotDecomposable(
-                f"no {n}-corner decomposition: coloop {name} has marginal "
-                f"rho(E) - rho(E-{name}) = {marginal} < k-n = {weight}",
-                n=n, element=name, marginal=marginal)
-        coloop_mask |= 1 << i
+    coloop_mask = sum(1 << i for i in range(len(rho.labels))
+                      if rho.ranks[1 << i] > n)
+    # the constructor's check rejects the first coloop with a low marginal
     return CornerDecomposition(rho, n, coloop_mask)
 
 
@@ -180,7 +207,7 @@ def essential_bound(rho: RankTable) -> tuple[int, CornerDecomposition]:
     for i in range(size):
         if ranks[1 << i] > n:
             coloop_mask |= 1 << i
-    return n, CornerDecomposition(rho, n, coloop_mask)
+    return n, CornerDecomposition._trusted(rho, n, coloop_mask)
 
 
 def glue_decomposition(rho: RankTable, element: str,
@@ -230,7 +257,7 @@ def glue_decomposition(rho: RankTable, element: str,
                     lambda s: contraction.sep.rank(s),
                     restriction.sep.rank(1))
     coloop_mask = sum(1 << i for i in range(n) if r_values[1 << i] == 1)
-    glued = CornerDecomposition(rho, m, coloop_mask)
+    glued = CornerDecomposition._trusted(rho, m, coloop_mask)
     if any(r_values[mask] != glued.sep.rank(mask) for mask in range(1 << n)):
         raise ReconstructionFailure(
             "glued separator is not maximally separated; deletion and "
@@ -394,8 +421,8 @@ def doubleton_canonical_tau(rank_e: int, rank_f: int, total: int,
     # beta*U(1,2) + ((reduced_e-beta)*U(1,1) (+) (reduced_f-beta)*U(1,1)),
     # written out pointwise: the overlap beta is shared, the rest splits.
     tau = RankTable(labels, a - 1, (0, reduced_e, reduced_f, reduced_total))
-    built = CornerDecomposition(doubleton(rank_e, rank_f, total, k, labels),
-                                a - 1, pat_e | pat_f << 1)
+    built = CornerDecomposition._trusted(
+        doubleton(rank_e, rank_f, total, k, labels), a - 1, pat_e | pat_f << 1)
     # built.tau is rho - (k-a+1) r, so this is tau + (k-a+1) r == rho
     if tau != built.tau:
         raise ReconstructionFailure("canonical residual failed to reconstruct "

@@ -32,7 +32,8 @@ oldest first out. Each entry holds the witness in its vector's own
 coordinates, or None inside the class. A table's own vector is looked up
 first, so a table the search has already built costs one dict lookup; only
 on a miss is the table canonically labelled and its canonical form looked
-up, and only on a miss there is the detector run.
+up, and only on a miss there is the detector run, on the table's full count
+grid from ``natural.count_grid``, which ``grid_csv`` then reuses.
 """
 
 from __future__ import annotations
@@ -60,7 +61,12 @@ from .errors import (
     NonIntegerResult,
     RegimeViolated,
 )
-from .natural import MultisetRankGrid, multiset_rank, multiset_rank_oracle
+from .natural import (
+    MultisetRankGrid,
+    count_grid,
+    multiset_rank,
+    multiset_rank_oracle,
+)
 
 Counts = tuple[int, ...]
 
@@ -282,7 +288,7 @@ def _witness(rho: RankTable, spec: ClassSpec,
     key = (spec.a, spec.b, spec.k, form, prune)
     canonical = _CLASS_CACHE.get(key, _MISS)
     if canonical is _MISS:
-        grid = MultisetRankGrid(rho)
+        grid = count_grid(rho)
         for a0, b0 in spec.targets:
             witness = _detect(rho, a0, b0, prune=prune, grid=grid)
             if witness is not None:

@@ -33,6 +33,7 @@ test oracles, at k*|E| <= 16.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -43,6 +44,7 @@ Counts = tuple[int, ...]
 CloneElement = tuple[str, int]
 
 GRID_LIMIT = 1 << 22  # points of one count grid (of its box)
+_GRID_MEMO = 8  # full grids kept by count_grid, least recently used out first
 EXPANSION_LIMIT = 16  # clones of one explicit expansion
 
 
@@ -197,6 +199,15 @@ class MultisetRankGrid:
 
     def rows(self) -> Iterator[tuple[Counts, int]]:
         return zip(self.iter_counts(), self.values)
+
+
+@functools.lru_cache(maxsize=_GRID_MEMO)
+def count_grid(rho: RankTable) -> MultisetRankGrid:
+    """rho's grid on the whole [0,k]^E, built once and shared while it is
+    among the _GRID_MEMO most recently used. Keyed by the table, whose
+    equality covers its labels, k and ranks, so the grid's ``rho`` is always
+    equal to the table asked about. Callers only read the grid."""
+    return MultisetRankGrid(rho)
 
 
 # -- explicit expansion (oracle scale only) ---------------------------------

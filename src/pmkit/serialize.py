@@ -12,13 +12,15 @@ catalogs built from equal inputs are byte-identical.
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Sequence
 
 from . import __version__
-from .core import RankTable, subset_name, validate
+from .core import RankTable, _subset_names, validate
 from .errors import MalformedInput
 from .minors import ClassSpec, ExcludedMinorRecord
+from .natural import count_grid
 
 FORMAT_VERSION = 1
 
@@ -28,8 +30,7 @@ def polymatroid_to_dict(rho: RankTable) -> dict:
         "format": FORMAT_VERSION,
         "ground": list(rho.labels),
         "k": rho.k,
-        "ranks": {subset_name(rho.labels, mask): rho.ranks[mask]
-                  for mask in range(1 << len(rho.labels))},
+        "ranks": dict(zip(_subset_names(rho.labels), rho.ranks)),
     }
 
 
@@ -106,20 +107,31 @@ def dumps_catalog(spec: ClassSpec, records: Sequence[ExcludedMinorRecord],
 
 # -- CSV --------------------------------------------------------------------
 
+# Bound on the cached row prefixes of grid_csv, one entry per (|E|, k); an
+# entry holds one string per grid point.
+_CSV_PREFIXES = 8
+
+
+@functools.lru_cache(maxsize=_CSV_PREFIXES)
+def _count_prefixes(n: int, k: int) -> tuple[str, ...]:
+    """The counts part of every grid_csv row, with its trailing comma, in
+    the grid's lex order: each coordinate extends the prefixes of the one
+    before."""
+    prefixes = [""]
+    for j in range(n):
+        digits = [f",{c}" if j else str(c) for c in range(k + 1)]
+        prefixes = [p + d for p in prefixes for d in digits]
+    return tuple(p + "," for p in prefixes)
+
+
 def grid_csv(rho: RankTable) -> str:
     """One row per count-grid point, counts then rank, lex order."""
-    from .natural import MultisetRankGrid
-
-    grid = MultisetRankGrid(rho)
-    # the counts part of every row, built once per coordinate from the
-    # prefixes of the one before, in the grid's lex order
-    prefixes = [""]
-    for j in range(len(rho.labels)):
-        digits = [f",{c}" if j else str(c) for c in range(rho.k + 1)]
-        prefixes = [p + d for p in prefixes for d in digits]
-    header = ",".join(list(rho.labels) + ["rank"])
-    rows = [f"{p},{v}" for p, v in zip(prefixes, grid.values)]
-    return "\n".join([header] + rows) + "\n"
+    # every multiset rank lies in [0, rho(E)]
+    ranks = [str(value) for value in range(rho.total_rank + 1)]
+    rows = [",".join(list(rho.labels) + ["rank"])]
+    rows += [prefix + ranks[value] for prefix, value in
+             zip(_count_prefixes(len(rho.labels), rho.k), count_grid(rho).values)]
+    return "\n".join(rows) + "\n"
 
 
 def points_csv(labels: Sequence[str], points: Sequence[Sequence]) -> str:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -69,6 +70,80 @@ class TestValidate:
             except errors.PmkitError:
                 local = False
             assert local == good
+
+
+class TestPlanAxiomCheck:
+    """The plan-based axiom check against the full-quantifier definition, and
+    its witnesses against the ascending scan that it replaced."""
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_random_tables_and_perturbations_match_brute_force(self, n):
+        rng = random.Random(4000 + n)
+        labels = pk.core.DEFAULT_LABELS[:n]
+        verdicts = set()
+        for _ in range(12 if n < 6 else 4):
+            k = rng.randint(1, 4)
+            base = pk.random_rank_table(labels, k, rng)
+            candidates = [base.ranks]
+            for _ in range(4):
+                ranks = list(base.ranks)
+                ranks[rng.randrange(1 << n)] += rng.choice((-1, 1))
+                candidates.append(tuple(ranks))
+            for ranks in candidates:
+                good = brute_force_axiom_check(labels, k, ranks)
+                try:
+                    pk.RankTable(labels, k, ranks)
+                    accepted = True
+                except errors.PmkitError:
+                    accepted = False
+                assert accepted == good == pk.core._is_polymatroid(ranks, k), ranks
+                verdicts.add(good)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("labels,k,ranks,error,witness", [
+        # two drops from {e,f}; the scan meets e,f's cover by f first
+        (("e", "f", "g"), 3, (0, 2, 2, 1, 2, 3, 3, 1),
+         errors.NotMonotone, {"a": "f", "b": "e,f"}),
+        # two drops into {e,f,g}; the least element is removed first
+        (("e", "f", "g"), 2, (0, 1, 1, 1, 1, 2, 2, 1),
+         errors.NotMonotone, {"a": "f,g", "b": "e,f,g"}),
+        # a drop wins over a submodularity violation at a smaller set
+        (("e", "f", "g"), 3, (0, 1, 1, 3, 1, 3, 3, 2),
+         errors.NotMonotone, {"a": "f,g", "b": "e,f,g"}),
+        # all three pairs over the empty set violate; e,f comes first
+        (("e", "f", "g"), 3, (0, 1, 1, 3, 1, 3, 3, 3),
+         errors.NotSubmodular, {"a": "e", "b": "f"}),
+        # violations over {e}, {f} and {g}; the least base comes first
+        (("e", "f", "g"), 3, (0, 1, 1, 2, 1, 2, 2, 4),
+         errors.NotSubmodular, {"a": "e,f", "b": "e,g"}),
+        # a submodularity violation wins over singletons above k
+        (("e", "f"), 1, (0, 2, 2, 5), errors.NotSubmodular, {"a": "e", "b": "f"}),
+        (("e", "f"), 1, (0, 2, 2, 3), errors.ExceedsK, {"element": "e", "value": 2}),
+        (("ab", "cd", "ef"), 3, (0, 1, 2, 3, 1, 2, 3, 2),
+         errors.NotMonotone, {"a": "cd,ef", "b": "ab,cd,ef"}),
+    ])
+    def test_witness_of_several_violations(self, labels, k, ranks, error, witness):
+        with pytest.raises(error) as exc:
+            pk.validate(labels, k, ranks)
+        assert exc.value.details == witness
+        with pytest.raises(error) as exc:
+            pk.validate(labels, k, {pk.core.subset_name(labels, mask): value
+                                    for mask, value in enumerate(ranks)})
+        assert exc.value.details == witness
+        assert not pk.core._is_polymatroid(ranks, k)
+
+    def test_subset_names_match_subset_name(self):
+        for labels in ((), ("e",), ("ab", "c", "de", "f")):
+            assert pk.core._subset_names(labels) == tuple(
+                pk.core.subset_name(labels, mask) for mask in range(1 << len(labels)))
+
+    def test_dict_path_rejects_unknown_and_missing_keys(self):
+        with pytest.raises(errors.MalformedInput) as exc:
+            pk.validate(("e",), 1, {"": 0, "e": 1, "f": 1})
+        assert exc.value.details == {"extra": ["f"]}
+        with pytest.raises(errors.MalformedInput) as exc:
+            pk.validate(("e", "f"), 1, {"": 0, "e": 1, "f,e": 1, "f": 1})
+        assert exc.value.details == {"missing": ["e,f"]}
 
 
 class TestUniform:

@@ -70,6 +70,42 @@ class TestCornerDecompose:
             assert d.tau == tau and d.sep == sep
 
 
+class TestPublicConstruction:
+    def test_invalid_decomposition_is_rejected(self):
+        # tau would have rank 1 - 3 = -2 at e
+        with pytest.raises(errors.NotDecomposable) as exc:
+            pk.CornerDecomposition(pk.singleton(1, 3), 0, 1)
+        assert exc.value.details == {"n": 0, "element": "e", "marginal": 1}
+
+    def test_each_condition_is_checked(self, example_rho):
+        with pytest.raises(errors.UnknownElement):
+            pk.CornerDecomposition(example_rho, 2, 0b100)
+        with pytest.raises(errors.InvalidParams):
+            pk.CornerDecomposition(example_rho, 4, 0)
+        with pytest.raises(errors.InvalidParams):
+            pk.CornerDecomposition(example_rho, -1, 0)
+        with pytest.raises(errors.NotDecomposable) as exc:
+            pk.CornerDecomposition(example_rho, 2, 0)  # rho(e) = 3 > 2
+        assert exc.value.details == {"n": 2, "element": "e", "rank": 3}
+        built = pk.CornerDecomposition(example_rho, 2, 0b01)
+        assert built == pk.essential_bound(example_rho)[1]
+        assert built.reconstruct(3) == example_rho
+
+    def test_check_accepts_exactly_the_exhaustive_decompositions(self, small_tables):
+        for (n, k), tables in small_tables.items():
+            for rho in tables:
+                for level in range(k + 1):
+                    found = {d.coloop_mask
+                             for d in pk.corner_decompose_exhaustive(rho, level)}
+                    for coloop_mask in range(1 << n):
+                        try:
+                            pk.CornerDecomposition(rho, level, coloop_mask)
+                            accepted = True
+                        except errors.PmkitError:
+                            accepted = False
+                        assert accepted == (coloop_mask in found), (rho, level)
+
+
 class TestExhaustive:
     def test_trivial_at_n_equals_k(self, example_rho):
         found = pk.corner_decompose_exhaustive(example_rho, example_rho.k)

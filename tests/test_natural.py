@@ -15,6 +15,7 @@ from pmkit.natural import (
     natural_rank,
     partition_map,
 )
+from pmkit.serialize import grid_csv
 
 # the 16 published grid values for rho(e)=3, rho(f)=2, rho(ef)=4, k=3
 EXAMPLE_GRID = {
@@ -187,6 +188,48 @@ class TestGrid:
                 flipped = tuple(k - c for c in counts)
                 assert (dual_grid.value_at(counts)
                         == sum(counts) - top + grid.value_at(flipped))
+
+
+class TestCountGridMemo:
+    def test_equal_ranks_different_labels_get_their_own_grid(self):
+        natural.count_grid.cache_clear()
+        left = pk.RankTable(("e", "f"), 3, (0, 3, 2, 4))
+        right = pk.RankTable(("x", "y"), 3, (0, 3, 2, 4))
+        assert natural.count_grid(left).rho is left
+        assert natural.count_grid(right).rho is right
+        assert natural.count_grid(left).rho is left
+        assert grid_csv(right).startswith("x,y,rank\n")
+        assert grid_csv(left).startswith("e,f,rank\n")
+
+    def test_equal_ranks_different_k_get_their_own_grid(self):
+        natural.count_grid.cache_clear()
+        low = pk.RankTable(("e",), 1, (0, 1))
+        high = pk.RankTable(("e",), 2, (0, 1))
+        assert natural.count_grid(low).values == [0, 1]
+        assert natural.count_grid(high).values == [0, 1, 1]
+
+    def test_membership_miss_then_csv_builds_one_full_grid(self, monkeypatch):
+        natural.count_grid.cache_clear()
+        monkeypatch.setattr(pk.minors, "_CLASS_CACHE", {})
+        built = []
+        init = MultisetRankGrid.__init__
+
+        def counted(self, rho, limits=None):
+            built.append(limits)
+            init(self, rho, limits)
+
+        monkeypatch.setattr(MultisetRankGrid, "__init__", counted)
+        rho = pk.RankTable(("e", "f"), 4, (0, 3, 3, 5))
+        spec = pk.ClassSpec(1, 3, 4)
+        member, witness = pk.class_membership(rho, spec)
+        assert not member and witness is not None
+        assert built == [None]
+        text = grid_csv(rho)
+        assert built == [None]
+        assert text.count("\n") == 1 + 25
+        # the cache-free detector keeps building its own grid
+        assert pk.has_uniform_minor(rho, 1, 3)[0]
+        assert built == [None, None]
 
 
 class TestMinorMultisetRank:

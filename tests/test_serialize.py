@@ -1,10 +1,13 @@
+import itertools
 import json
+import random
 
 import pytest
 
 import pmkit as pk
 from pmkit import errors
 from pmkit.minors import ClassSpec
+from pmkit.natural import multiset_rank
 from pmkit.serialize import (
     catalog_to_dict,
     dumps_catalog,
@@ -116,6 +119,35 @@ def test_grid_csv_golden(example_rho):
     assert lines[4] == "0,3,2"
     assert lines[-1] == "3,3,4"
     assert len(lines) == 17
+
+
+def test_grid_csv_rows_are_multiset_ranks():
+    rng = random.Random(2718)
+    for n, k in ((1, 4), (2, 3), (3, 2), (4, 2), (3, 1)):
+        labels = ("e", "fg", "h", "ij")[:n]
+        rho = pk.random_rank_table(labels, k, rng)
+        header, *rows = grid_csv(rho).splitlines()
+        assert header == ",".join(labels + ("rank",))
+        points = list(itertools.product(range(k + 1), repeat=n))
+        assert len(rows) == len(points)
+        for row, counts in zip(rows, points):
+            *coords, value = map(int, row.split(","))
+            assert tuple(coords) == counts
+            assert value == multiset_rank(rho, counts)
+
+
+def test_round_trip_is_byte_identical():
+    rng = random.Random(3141)
+    for labels in (("e", "f", "g"), ("alpha", "b2", "c_3", "\u03b3", "e f")):
+        for k in (1, 3):
+            rho = pk.random_rank_table(labels, k, rng)
+            text = dumps_polymatroid(rho)
+            back = loads_polymatroid(text)
+            assert back == rho
+            assert dumps_polymatroid(back) == text
+            assert json.loads(text)["ranks"] == {
+                pk.core.subset_name(labels, mask): value
+                for mask, value in enumerate(rho.ranks)}
 
 
 def test_points_csv(example_rho):
