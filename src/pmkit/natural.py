@@ -10,8 +10,8 @@ grid [0,k]^E:
   min over B of rho(B) + sum of counts outside B (2^|E| terms);
 * ``multiset_rank_oracle`` recomputes it as the largest coordinate sum of an
   independence-polytope lattice point dominated by the counts, found by
-  testing every point of the box below the counts against every subset
-  constraint; it never builds a grid and is kept solely as a cross-check;
+  testing the box below the counts against every subset constraint, a prefix
+  at a time; it never builds a grid and is kept solely as a cross-check;
 * ``MultisetRankGrid`` holds R on a box [0,l_1] x ... x [0,l_n] (by default
   the whole [0,k]^E) in one flat list in the lexicographic order of the box
   (last coordinate fastest, mixed-radix strides), filled once at construction
@@ -25,7 +25,8 @@ grid [0,k]^E:
 Because min_B rho(B) + c(E-B) >= c(E) holds exactly when c(B) <= rho(B) for
 every B, an integer vector c is a point of the independence polytope exactly
 when R(c) = |c|. ``polytope`` reads its lattice points that way, from the grid
-over the box bounded by the singleton ranks.
+over the box bounded by the singleton ranks. ``count_grid`` shares grids in
+one bounded memo keyed by table and box.
 
 The expanded matroid is only ever materialized inside ``clone_check`` and the
 test oracles, at k*|E| <= 16.
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 from .core import RankTable
@@ -44,7 +46,7 @@ Counts = tuple[int, ...]
 CloneElement = tuple[str, int]
 
 GRID_LIMIT = 1 << 22  # points of one count grid (of its box)
-_GRID_MEMO = 8  # full grids kept by count_grid, least recently used out first
+_GRID_MEMO = 8  # (table, box) grids kept by count_grid, least recently used out first
 EXPANSION_LIMIT = 16  # clones of one explicit expansion
 
 
@@ -99,15 +101,21 @@ def multiset_rank(rho: RankTable, counts: Sequence[int]) -> int:
 
 def _subset_tested_points(rho: RankTable, limits: Sequence[int]) -> list[Counts]:
     """Points of the box [0, limits] with c(A) <= rho(A) for every subset A,
-    lex order. Brute force by construction, apart from the count grid."""
-    n = len(rho.labels)
-    masks = range(1, 1 << n)
-    out = []
-    for point in itertools.product(*(range(limit + 1) for limit in limits)):
-        if all(sum(point[i] for i in range(n) if mask >> i & 1) <= rho.ranks[mask]
-               for mask in masks):
-            out.append(point)
-    return out
+    lex order, by brute force apart from the count grid: coordinate i is fixed
+    against every A whose last member is i, c_i <= rho(A) - c(A - i), and as
+    counts are nonnegative a failing prefix goes with all its extensions."""
+    points: list[Counts] = [()]
+    for i, limit in enumerate(limits):
+        upper = rho.ranks[1 << i:2 << i]  # rho(A) for A - i = 0, 1, ..., in order
+        extended = []
+        for prefix in points:
+            below = [0]  # c(A - i) in the same order
+            for c in prefix:
+                below += [b + c for b in below]
+            room = min(limit, min(map(operator.sub, upper, below)))
+            extended += [prefix + (c,) for c in range(room + 1)]
+        points = extended
+    return points
 
 
 def multiset_rank_oracle(rho: RankTable, counts: Sequence[int]) -> int:
@@ -129,10 +137,8 @@ def minor_multiset_rank(grid: "MultisetRankGrid", contract: Sequence[int],
                         keep: Sequence[int]) -> int:
     """Rank of a count vector after contracting clones with the given counts:
     R(contract + keep) - R(contract)."""
-    rho = grid.rho
-    contract = _check_counts(rho, contract)
-    total = tuple(c + y for c, y in zip(contract, keep))
-    total = _check_counts(rho, total)
+    keep = _check_counts(grid.rho, keep)
+    total = tuple(map(operator.add, contract, keep))
     return grid.value_at(total) - grid.value_at(contract)
 
 
@@ -202,12 +208,14 @@ class MultisetRankGrid:
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO)
-def count_grid(rho: RankTable) -> MultisetRankGrid:
-    """rho's grid on the whole [0,k]^E, built once and shared while it is
-    among the _GRID_MEMO most recently used. Keyed by the table, whose
-    equality covers its labels, k and ranks, so the grid's ``rho`` is always
-    equal to the table asked about. Callers only read the grid."""
-    return MultisetRankGrid(rho)
+def count_grid(rho: RankTable, limits: Counts | None = None) -> MultisetRankGrid:
+    """rho's grid on the box [0, limits] (default the whole [0,k]^E), built
+    once and shared while it is among the _GRID_MEMO most recently used.
+    Keyed by the table, whose equality covers its labels, k and ranks, and by
+    the box, so the grid's ``rho`` always equals the table asked about. Pass
+    the box positionally: lru_cache keys ``count_grid(rho, box)`` and
+    ``count_grid(rho, limits=box)`` apart. Callers only read the grid."""
+    return MultisetRankGrid(rho, limits)
 
 
 # -- explicit expansion (oracle scale only) ---------------------------------

@@ -5,9 +5,10 @@ Membership tests run over every subset constraint with exact arithmetic
 faces classify correctly. Lattice geometry reads the count grid instead: an
 integer vector c lies in the independence polytope exactly when its multiset
 rank R(c) = min_B rho(B) + c(E-B) equals |c| (Edmonds), so ``lattice_points``
-and ``minor_face`` make one pass over ``MultisetRankGrid`` on the box bounded
-by the singleton ranks. A box above ``natural.GRID_LIMIT`` points raises
-``TooLarge``.
+and ``minor_face`` make one pass over the count grid on the box bounded by
+the singleton ranks. Both read it from ``natural.count_grid``, so the faces
+of one table share one grid. A box above ``natural.GRID_LIMIT`` points
+raises ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 from . import natural
 from .core import RankTable, mask_of, subset_name
-from .errors import DimensionMismatch, InvalidParams, OverlappingSets
+from .errors import DimensionMismatch, OverlappingSets
 
 Point = tuple  # of int | Fraction, one coordinate per ground label
 
@@ -54,7 +55,7 @@ def in_base_polytope(rho: RankTable, point: Sequence) -> bool:
 def lattice_points(rho: RankTable, restrict_to_base: bool = False) -> list[Point]:
     """Integer points of the independence (or base) polytope, lex order: the
     points c of the singleton-rank box with R(c) = |c| (and = rho(E))."""
-    grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
+    grid = natural.count_grid(rho, rho.singleton_ranks())
     sums = [0]
     for limit in grid.limits:
         sums = [s + c for s in sums for c in range(limit + 1)]
@@ -89,11 +90,12 @@ class MinorFace:
     """A coordinate-pinned slice of the independence polytope.
 
     ``pins`` fixes each contracted element's coordinate; deleted elements sit
-    at 0. ``intervals`` describes the smallest coordinate box containing the
-    slice. ``pin_mismatch`` flags contracted elements whose single-element pin
-    rho({e}) differs from the chain pin actually used (this happens exactly
-    when the contracted set is not additive, where the single-element pinning
-    would cut an empty slice).
+    at 0. ``intervals`` gives each coordinate's range: its pin for a
+    contracted element, (0, 0) for a deleted one and (0, k) for a free one,
+    a box that contains the slice. ``pin_mismatch`` flags contracted elements
+    whose single-element pin rho({e}) differs from the chain pin actually
+    used (this happens exactly when the contracted set is not additive, where
+    the single-element pinning would cut an empty slice).
     """
 
     contract_set: tuple[str, ...]
@@ -106,8 +108,7 @@ class MinorFace:
 
 
 def minor_face(rho: RankTable, contract_names: Iterable[str],
-               delete_names: Iterable[str], pin: str = "chain",
-               grid: natural.MultisetRankGrid | None = None) -> MinorFace:
+               delete_names: Iterable[str], pin: str = "chain") -> MinorFace:
     """Slice of the independence polytope matching the minor rho/A1\\A2.
 
     pin="chain" (default) fixes each contracted coordinate at its rank
@@ -115,10 +116,6 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
     slice is then a translate of the minor's independence polytope.
     pin="singleton" fixes each at rho({e}) instead, which agrees with "chain"
     whenever rho is additive on A1 and otherwise cuts an empty slice.
-
-    ``grid`` is rho's count grid on the singleton-rank box, built here when
-    not given; a caller slicing one table many times builds it once. A grid
-    of another table or box raises ``InvalidParams``.
     """
     a1 = mask_of(rho.labels, contract_names)
     a2 = mask_of(rho.labels, delete_names)
@@ -127,62 +124,50 @@ def minor_face(rho: RankTable, contract_names: Iterable[str],
                               shared=subset_name(rho.labels, a1 & a2))
     if pin not in ("chain", "singleton"):
         raise ValueError(f"unknown pinning {pin!r}")
-    if grid is None:
-        grid = natural.MultisetRankGrid(rho, rho.singleton_ranks())
-    elif grid.rho != rho or grid.limits != rho.singleton_ranks():
-        raise InvalidParams("grid is not the singleton-rank grid of this table",
-                            limits=list(grid.limits))
-    n = len(rho.labels)
+    grid = natural.count_grid(rho, rho.singleton_ranks())
     pins: dict[str, int] = {}
-    chain_pins: dict[str, int] = {}
-    prefix = 0
-    for i in range(n):
-        if a1 >> i & 1:
-            chain_pins[rho.labels[i]] = rho.ranks[prefix | 1 << i] - rho.ranks[prefix]
-            prefix |= 1 << i
-    for i in range(n):
-        if a1 >> i & 1:
-            name = rho.labels[i]
-            pins[name] = rho.ranks[1 << i] if pin == "singleton" else chain_pins[name]
-    mismatch = tuple(name for name in pins
-                     if rho.ranks[1 << rho.labels.index(name)] != chain_pins[name])
-
-    free = [i for i in range(n) if not (a1 | a2) >> i & 1]
-    fixed = [0] * n
-    for i in range(n):
-        if a1 >> i & 1:
-            fixed[i] = pins[rho.labels[i]]
+    mismatch = []
+    deleted = []
+    free = []
+    boxes = []  # each coordinate's values in the slice
+    intervals = []
+    prefix = 0  # the contracted elements before i
+    for i, name in enumerate(rho.labels):
+        bit = 1 << i
+        if a1 & bit:
+            chain = rho.ranks[prefix | bit] - rho.ranks[prefix]
+            prefix |= bit
+            if rho.ranks[bit] != chain:
+                mismatch.append(name)
+            value = pins[name] = rho.ranks[bit] if pin == "singleton" else chain
+            boxes.append((value,))
+            intervals.append((value, value))
+        elif a2 & bit:
+            deleted.append(name)
+            boxes.append((0,))
+            intervals.append((0, 0))
+        else:
+            free.append(i)
+            boxes.append(range(grid.limits[i] + 1))
+            intervals.append((0, rho.k))
     # pins never exceed the singleton ranks, so the slice lies in the grid's
-    # box; its free coordinates expand one base offset in lex order
-    offsets = [sum(v * s for v, s in zip(fixed, grid.strides))]
-    sums = [sum(fixed)]
-    for i in free:
-        stride, side = grid.strides[i], range(grid.limits[i] + 1)
+    # box; its offsets expand in lex order
+    offsets, sums = [0], [0]
+    for stride, side in zip(grid.strides, boxes):
         offsets = [o + c * stride for o in offsets for c in side]
         sums = [s + c for s in sums for c in side]
     tight = list(map(operator.eq, map(grid.values.__getitem__, offsets), sums))
-    boxes = [range(grid.limits[i] + 1) if i in free else (fixed[i],)
-             for i in range(n)]
     points = itertools.compress(itertools.product(*boxes), tight)
     translated = itertools.compress(
         itertools.product(*(boxes[i] for i in free)), tight)
-    intervals = []
-    for i in range(n):
-        if a1 >> i & 1:
-            v = fixed[i]
-            intervals.append((v, v))
-        elif a2 >> i & 1:
-            intervals.append((0, 0))
-        else:
-            intervals.append((0, rho.k))
     return MinorFace(
-        contract_set=tuple(rho.labels[i] for i in range(n) if a1 >> i & 1),
-        delete_set=tuple(rho.labels[i] for i in range(n) if a2 >> i & 1),
+        contract_set=tuple(pins),
+        delete_set=tuple(deleted),
         pins=pins,
         intervals=tuple(intervals),
         points=tuple(points),
         translated_points=tuple(translated),
-        pin_mismatch=mismatch,
+        pin_mismatch=tuple(mismatch),
     )
 
 

@@ -114,14 +114,14 @@ _CSV_PREFIXES = 8
 
 @functools.lru_cache(maxsize=_CSV_PREFIXES)
 def _count_prefixes(n: int, k: int) -> tuple[str, ...]:
-    """The counts part of every grid_csv row, with its trailing comma, in
-    the grid's lex order: each coordinate extends the prefixes of the one
-    before."""
+    """The counts part of every grid_csv row, each count followed by its
+    comma, in the grid's lex order: each coordinate extends the prefixes of
+    the one before."""
     prefixes = [""]
-    for j in range(n):
-        digits = [f",{c}" if j else str(c) for c in range(k + 1)]
+    digits = [f"{c}," for c in range(k + 1)]
+    for _ in range(n):
         prefixes = [p + d for p in prefixes for d in digits]
-    return tuple(p + "," for p in prefixes)
+    return tuple(prefixes)
 
 
 def grid_csv(rho: RankTable) -> str:

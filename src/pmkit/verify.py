@@ -520,14 +520,13 @@ def check_10_minor_face() -> CheckResult:
         labels = DEFAULT_LABELS[:n]
         for k in (1, 2, 3, 4):
             for rho in _tables(n, k):
-                grid = MultisetRankGrid(rho, rho.singleton_ranks())
                 for a1_mask in range(1 << n):
                     for a2_mask in range(1 << n):
                         if a1_mask & a2_mask:
                             continue
                         a1 = [labels[i] for i in range(n) if a1_mask >> i & 1]
                         a2 = [labels[i] for i in range(n) if a2_mask >> i & 1]
-                        face = polytope.minor_face(rho, a1, a2, grid=grid)
+                        face = polytope.minor_face(rho, a1, a2)
                         minor = rho.contract(a1).delete(a2)
                         if (sorted(face.translated_points)
                                 != polytope.lattice_points(minor)):

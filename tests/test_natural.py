@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -121,6 +122,17 @@ class TestGrid:
                 for index, counts in enumerate(points):
                     assert grid.values[index] == multiset_rank(rho, counts)
 
+    def test_grid_matches_expansion_on_seeded_tables(self):
+        rng = random.Random(5077)
+        for n, k in ((3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4)):
+            rho = pk.random_rank_table(pk.core.DEFAULT_LABELS[:n], k, rng)
+            ranks = expanded_ranks(rho)
+            grid = natural.count_grid(rho)
+            for counts, value in grid.rows():
+                # the first c clones of each element j
+                subset = sum(((1 << c) - 1) << (j * k) for j, c in enumerate(counts))
+                assert value == ranks[subset]
+
     def test_grid_guard(self, example_rho, monkeypatch):
         with pytest.raises(errors.TooLarge):
             MultisetRankGrid(pk.singleton(1, natural.GRID_LIMIT))
@@ -227,9 +239,16 @@ class TestCountGridMemo:
         text = grid_csv(rho)
         assert built == [None]
         assert text.count("\n") == 1 + 25
+        # the lattice points and every minor face share one singleton-box grid
+        pk.lattice_points(rho)
+        for a1, a2 in itertools.product(range(4), repeat=2):
+            if not a1 & a2:
+                pk.minor_face(rho, [rho.labels[i] for i in range(2) if a1 >> i & 1],
+                              [rho.labels[i] for i in range(2) if a2 >> i & 1])
+        assert built == [None, rho.singleton_ranks()]
         # the cache-free detector keeps building its own grid
         assert pk.has_uniform_minor(rho, 1, 3)[0]
-        assert built == [None, None]
+        assert built == [None, rho.singleton_ranks(), None]
 
 
 class TestMinorMultisetRank:
@@ -249,8 +268,10 @@ class TestMinorMultisetRank:
 
     def test_out_of_grid(self, example_rho):
         grid = MultisetRankGrid(example_rho)
-        with pytest.raises(errors.OutOfGrid):
-            minor_multiset_rank(grid, (2, 0), (2, 0))
+        for contract, keep in (((2, 0), (2, 0)), ((2, 0), (-1, 0)),
+                               ((0, 0), (1, 1, 5))):
+            with pytest.raises(errors.OutOfGrid):
+                minor_multiset_rank(grid, contract, keep)
 
 
 class TestCloneCheck:

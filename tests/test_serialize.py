@@ -123,7 +123,7 @@ def test_grid_csv_golden(example_rho):
 
 def test_grid_csv_rows_are_multiset_ranks():
     rng = random.Random(2718)
-    for n, k in ((1, 4), (2, 3), (3, 2), (4, 2), (3, 1)):
+    for n, k in ((0, 2), (1, 4), (2, 3), (3, 2), (4, 2), (3, 1)):
         labels = ("e", "fg", "h", "ij")[:n]
         rho = pk.random_rank_table(labels, k, rng)
         header, *rows = grid_csv(rho).splitlines()
