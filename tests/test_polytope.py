@@ -145,6 +145,49 @@ class TestGridAgainstSubsetLoop:
                         tuple(p[i] for i in range(n) if not (a1 | a2) >> i & 1)
                         for p in points]
 
+    def test_minor_face_takes_a_prebuilt_grid(self):
+        # k <= 2 keeps this quick; every face of one table reads the one
+        # memoised singleton-box grid and matches a face built from cold
+        for rho in property_tables():
+            n = len(rho.labels)
+            if n > 4 or rho.k > 2:
+                continue
+            natural.count_grid.cache_clear()
+            grid = natural.count_grid(rho, rho.singleton_ranks())
+            cases = [([rho.labels[i] for i in range(n) if a1 >> i & 1],
+                      [rho.labels[i] for i in range(n) if a2 >> i & 1], pin)
+                     for a1, a2 in itertools.product(range(1 << n), repeat=2)
+                     if not a1 & a2 for pin in ("chain", "singleton")]
+            warm = [minor_face(rho, contract, delete, pin=pin)
+                    for contract, delete, pin in cases]
+            assert natural.count_grid(rho, rho.singleton_ranks()) is grid
+            assert natural.count_grid.cache_info().currsize == 1
+            for face, (contract, delete, pin) in zip(warm, cases):
+                natural.count_grid.cache_clear()
+                assert face == minor_face(rho, contract, delete, pin=pin)
+
+    def test_minor_face_rejects_another_grid(self, example_rho, monkeypatch):
+        natural.count_grid.cache_clear()
+        expected = minor_face(example_rho, ["e"], [])
+        natural.count_grid.cache_clear()
+        other = pk.RankTable(("e", "f"), 3, (0, 3, 2, 5))  # same box, other ranks
+        others = (natural.count_grid(example_rho),  # the [0,k]^E box
+                  natural.count_grid(example_rho, (3, 1)),
+                  natural.count_grid(other, other.singleton_ranks()))
+        built = []
+        init = MultisetRankGrid.__init__
+
+        def counted(self, rho, limits=None):
+            built.append((rho, limits))
+            init(self, rho, limits)
+
+        monkeypatch.setattr(MultisetRankGrid, "__init__", counted)
+        assert minor_face(example_rho, ["e"], []) == expected
+        assert built == [(example_rho, example_rho.singleton_ranks())]
+        grid = natural.count_grid(example_rho, example_rho.singleton_ranks())
+        assert grid.rho == example_rho and grid.limits == (3, 2)
+        assert all(grid is not g for g in others)
+
     def test_oracles_never_build_a_grid(self, monkeypatch):
         class Refused(Exception):
             pass
