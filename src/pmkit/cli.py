@@ -21,6 +21,7 @@ from .serialize import (
     grid_csv,
     load_polymatroid,
     points_csv,
+    polymatroid_to_dict,
 )
 
 
@@ -85,8 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, type=int)
     p.add_argument("--max-elements", type=int, default=2)
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the search (deterministic output)")
     p.add_argument("--out", default=None, metavar="FILE")
     p.add_argument("--stamp", action="store_true",
                    help="include a wall-clock timestamp (breaks byte-stability)")
@@ -158,7 +157,7 @@ def _cmd_decompose(args) -> int:
         deco = decomposition.corner_decompose(rho, args.n)
     out = {
         "n": level,
-        "tau": json.loads(dumps_polymatroid(deco.tau)),
+        "tau": polymatroid_to_dict(deco.tau),
         "coloops": sorted(deco.coloop_names()),
     }
     print(json.dumps(out, indent=2))
@@ -201,7 +200,7 @@ def _cmd_enumerate(args) -> int:
     spec = ClassSpec(args.a, args.b, args.k)
     budget = args.budget if args.budget is not None else config.search_budget()
     records = minors.search_excluded(spec, max_elements=args.max_elements,
-                                     budget=budget, jobs=args.jobs)
+                                     budget=budget)
     stamp = (datetime.now(timezone.utc).isoformat(timespec="seconds")
              if args.stamp else None)
     text = dumps_catalog(spec, records, args.max_elements, budget, stamp)

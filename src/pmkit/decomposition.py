@@ -144,12 +144,8 @@ def _build(rho: RankTable, n: int, coloop_mask: int) -> CornerDecomposition | No
     """The decomposition with the given coloop set, or None when
     tau = rho - (k-n) * r is not an n-polymatroid, asked of the axioms
     directly rather than of the closed form."""
-    weight = rho.k - n
-    tau_ranks = [value - weight * (mask & coloop_mask).bit_count()
-                 for mask, value in enumerate(rho.ranks)]
-    if not _is_polymatroid(tau_ranks, n):
-        return None
-    return CornerDecomposition._trusted(rho, n, coloop_mask)
+    built = CornerDecomposition._trusted(rho, n, coloop_mask)
+    return built if _is_polymatroid(built.tau.ranks, n) else None
 
 
 def _marginal(rho: RankTable, i: int) -> int:

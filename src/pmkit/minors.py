@@ -265,32 +265,31 @@ def _store(key: tuple, witness: MinorWitness | None) -> None:
     _CLASS_CACHE[key] = witness
 
 
-def _witness(rho: RankTable, spec: ClassSpec,
-             prune: bool) -> MinorWitness | None:
+def _witness(rho: RankTable, spec: ClassSpec) -> MinorWitness | None:
     """The class witness in rho's labelling, or None inside the class.
 
-    _CLASS_CACHE maps (a, b, k, V, prune), V a rank vector, to the witness in
-    V's own coordinates (or None). rho's own vector is looked up first; on a
+    _CLASS_CACHE maps (a, b, k, V), V a rank vector, to the witness in V's
+    own coordinates (or None). rho's own vector is looked up first; on a
     miss, its canonical form is, and on a miss there the witness is detected
-    and stored under the form in canonical coordinates. The witness in rho's
-    labelling is then stored under rho's vector. A canonical form's least
-    permutation is the identity, so when rho's vector is its own form the
-    two keys are one entry with one meaning.
+    on rho's full count grid and stored under the form in canonical
+    coordinates. The witness in rho's labelling is then stored under rho's
+    vector. A canonical form's least permutation is the identity, so when
+    rho's vector is its own form the two keys are one entry with one meaning.
     """
     if rho.k != spec.k:
         raise KMismatch("table k does not match the class k",
                         table=rho.k, cls=spec.k)
-    own = (spec.a, spec.b, spec.k, rho.ranks, prune)
+    own = (spec.a, spec.b, spec.k, rho.ranks)
     witness = _CLASS_CACHE.get(own, _MISS)
     if witness is not _MISS:
         return witness
     form, perm = canonical_labelling(rho)
-    key = (spec.a, spec.b, spec.k, form, prune)
+    key = (spec.a, spec.b, spec.k, form)
     canonical = _CLASS_CACHE.get(key, _MISS)
     if canonical is _MISS:
-        grid = count_grid(rho)
+        grid = count_grid(rho, (rho.k,) * len(rho.labels))
         for a0, b0 in spec.targets:
-            witness = _detect(rho, a0, b0, prune=prune, grid=grid)
+            witness = _detect(rho, a0, b0, grid=grid)
             if witness is not None:
                 break
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
@@ -302,23 +301,20 @@ def _witness(rho: RankTable, spec: ClassSpec,
     return witness
 
 
-def in_class(rho: RankTable, spec: ClassSpec, prune: bool = True) -> bool:
-    return _witness(rho, spec, prune) is None
+def in_class(rho: RankTable, spec: ClassSpec) -> bool:
+    return _witness(rho, spec) is None
 
 
-def class_membership(rho: RankTable, spec: ClassSpec,
-                     prune: bool = True) -> tuple[bool, MinorWitness | None]:
+def class_membership(rho: RankTable,
+                     spec: ClassSpec) -> tuple[bool, MinorWitness | None]:
     """Membership plus, when outside, a witness minor in rho's labelling."""
-    witness = _witness(rho, spec, prune)
+    witness = _witness(rho, spec)
     return witness is None, witness
 
 
 def is_excluded_minor(rho: RankTable, spec: ClassSpec) -> bool:
     """Outside the class while every single-element deletion and contraction is
     inside. Single-element checks suffice because the class is minor-closed."""
-    if rho.k != spec.k:
-        raise KMismatch("table k does not match the class k",
-                        table=rho.k, cls=spec.k)
     if in_class(rho, spec):
         return False
     for name in rho.labels:
@@ -444,55 +440,24 @@ def count_formula(a: int, k: int) -> int:
 
 # -- exhaustive search -------------------------------------------------------
 
-def _admit_in_class(spec: ClassSpec, labels: Sequence[str]):
-    """The iter_rank_tables ``admit`` predicate: the restriction to a subset,
-    fixed once the subset has its rank, is in the class. The class is
-    minor-closed, so a pruned subtree holds no excluded minor."""
+def _admit(spec: ClassSpec, labels: Sequence[str]):
+    """The search's iter_rank_tables ``admit`` predicate.
+
+    It cuts a table whose singleton ranks decrease in label order: the walk
+    yields the least relabeling of each class first, and singletons come
+    first in generation order, so that table has sorted singleton ranks and
+    survives the cut. Otherwise it admits a subset once it has its rank iff
+    the restriction to it is in the class; the class is minor-closed, so a
+    pruned subtree holds no excluded minor."""
     def admit(mask: int, ranks: list[int]) -> bool:
+        if mask > 1 and mask & (mask - 1) == 0 and ranks[mask] < ranks[mask >> 1]:
+            return False
         at = [i for i in range(len(labels)) if mask >> i & 1]
         restriction = RankTable._trusted(tuple(labels[i] for i in at), spec.k,
                                          _gather(ranks, at))
         return in_class(restriction, spec)
 
     return admit
-
-
-def _admit_sorted_in_class(spec: ClassSpec, labels: Sequence[str]):
-    """The search's ``admit``: singleton ranks nondecreasing in label order,
-    then _admit_in_class. The walk yields the least relabeling of each class
-    first, and singletons come first in generation order, so that table has
-    sorted singleton ranks and survives the cut."""
-    in_class_restriction = _admit_in_class(spec, labels)
-
-    def admit(mask: int, ranks: list[int]) -> bool:
-        if mask > 1 and mask & (mask - 1) == 0 and ranks[mask] < ranks[mask >> 1]:
-            return False
-        return in_class_restriction(mask, ranks)
-
-    return admit
-
-
-def _search_one_size(spec: ClassSpec, n: int, budget: int,
-                     counter: list[int]) -> dict[tuple, ExcludedMinorRecord]:
-    found: dict[tuple, ExcludedMinorRecord] = {}
-    labels = DEFAULT_LABELS[:n]
-    for rho in iter_rank_tables(labels, spec.k, budget=budget, counter=counter,
-                                admit=_admit_sorted_in_class(spec, labels)):
-        # every proper restriction was admitted; the contractions remain
-        if not all(in_class(rho.contract([name]), spec) for name in labels):
-            continue
-        member, witness = class_membership(rho, spec)
-        if member:
-            continue
-        key = canonical_key(rho)
-        if key not in found:
-            found[key] = _record(rho, _search_tags(rho), witness)
-    return found
-
-
-def _search_task(args) -> list[ExcludedMinorRecord]:
-    a, b, k, n, budget = args
-    return list(_search_one_size(ClassSpec(a, b, k), n, budget, [0]).values())
 
 
 def search_excluded(spec: ClassSpec, max_elements: int | None = None,
@@ -508,8 +473,8 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     class (membership is cached by rank vector, then by canonical form). A
     table that is reached therefore has all its deletions in the class; it is
     screened through its single-element contractions before the membership
-    test runs on the table itself. The budget counts only the nodes the walk
-    tries.
+    test runs on the table itself. The budget counts the nodes the walk
+    tries, over all ground-set sizes.
 
     The walk also cuts every table whose singleton ranks decrease in label
     order. Tables are yielded in rank-vector lex order with the singletons
@@ -519,10 +484,12 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     changes no record, representative or witness; it only skips the later
     relabelings of each class.
 
-    With jobs > 1, ground-set sizes run in separate worker processes (the
-    budget then applies per worker task); results are merged and sorted, so
-    the output is identical to the serial run.
+    The search runs in one process, sharing one class cache across sizes;
+    ``jobs`` is accepted only as 1, and any other value raises InvalidParams.
     """
+    if jobs != 1:
+        raise InvalidParams("the search runs in one process; jobs must be 1",
+                            jobs=jobs)
     if max_elements is None:
         max_elements = 3
     if max_elements > config.max_elements():
@@ -532,19 +499,20 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     if budget is None:
         budget = config.search_budget()
     found: dict[tuple, ExcludedMinorRecord] = {}
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(spec.a, spec.b, spec.k, n, budget)
-                 for n in range(0, max_elements + 1)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_search_task, tasks):
-                for record in chunk:
-                    found.setdefault(canonical_key(record.polymatroid), record)
-    else:
-        counter = [0]
-        for n in range(0, max_elements + 1):
-            found.update(_search_one_size(spec, n, budget, counter))
+    counter = [0]
+    for n in range(0, max_elements + 1):
+        labels = DEFAULT_LABELS[:n]
+        for rho in iter_rank_tables(labels, spec.k, budget=budget,
+                                    counter=counter, admit=_admit(spec, labels)):
+            # every proper restriction was admitted; the contractions remain
+            if not all(in_class(rho.contract([name]), spec) for name in labels):
+                continue
+            member, witness = class_membership(rho, spec)
+            if member:
+                continue
+            key = canonical_key(rho)
+            if key not in found:
+                found[key] = _record(rho, _search_tags(rho), witness)
     return sorted(found.values(), key=lambda r: (r.size, r.canonical))
 
 

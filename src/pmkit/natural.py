@@ -26,7 +26,8 @@ Because min_B rho(B) + c(E-B) >= c(E) holds exactly when c(B) <= rho(B) for
 every B, an integer vector c is a point of the independence polytope exactly
 when R(c) = |c|. ``polytope`` reads its lattice points that way, from the grid
 over the box bounded by the singleton ranks. ``count_grid`` shares grids in
-one bounded memo keyed by table and box.
+one bounded memo keyed by table and box, the box always given, so [0,k]^E
+is one grid however it is asked for.
 
 The expanded matroid is only ever materialized inside ``clone_check`` and the
 test oracles, at k*|E| <= 16.
@@ -208,12 +209,12 @@ class MultisetRankGrid:
 
 
 @functools.lru_cache(maxsize=_GRID_MEMO)
-def count_grid(rho: RankTable, limits: Counts | None = None) -> MultisetRankGrid:
-    """rho's grid on the box [0, limits] (default the whole [0,k]^E), built
-    once and shared while it is among the _GRID_MEMO most recently used.
-    Keyed by the table, whose equality covers its labels, k and ranks, and by
-    the box, so the grid's ``rho`` always equals the table asked about. Pass
-    the box positionally: lru_cache keys ``count_grid(rho, box)`` and
+def count_grid(rho: RankTable, limits: Counts) -> MultisetRankGrid:
+    """rho's grid on the box [0, limits], built once and shared while it is
+    among the _GRID_MEMO most recently used. Keyed by the table, whose
+    equality covers its labels, k and ranks, and by the box, so the grid's
+    ``rho`` always equals the table asked about. The box is a required tuple,
+    passed positionally, as lru_cache keys ``count_grid(rho, box)`` and
     ``count_grid(rho, limits=box)`` apart. Callers only read the grid."""
     return MultisetRankGrid(rho, limits)
 

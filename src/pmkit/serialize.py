@@ -130,7 +130,8 @@ def grid_csv(rho: RankTable) -> str:
     ranks = [str(value) for value in range(rho.total_rank + 1)]
     rows = [",".join(list(rho.labels) + ["rank"])]
     rows += [prefix + ranks[value] for prefix, value in
-             zip(_count_prefixes(len(rho.labels), rho.k), count_grid(rho).values)]
+             zip(_count_prefixes(len(rho.labels), rho.k),
+                 count_grid(rho, (rho.k,) * len(rho.labels)).values)]
     return "\n".join(rows) + "\n"
 
 

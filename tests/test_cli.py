@@ -88,6 +88,15 @@ def test_decompose_canonical(rho_file, capsys):
     assert data["tau"]["ranks"] == {"": 0, "e": 2, "f": 2, "e,f": 3}
 
 
+def test_decompose_canonical_bytes(rho_file, capsys):
+    assert main(["decompose", rho_file, "--canonical"]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "n": 2,\n  "tau": {\n    "format": 1,\n    "ground": [\n'
+        '      "e",\n      "f"\n    ],\n    "k": 2,\n    "ranks": {\n'
+        '      "": 0,\n      "e": 2,\n      "f": 2,\n      "e,f": 3\n'
+        '    }\n  },\n  "coloops": [\n    "e"\n  ]\n}\n')
+
+
 def test_decompose_fixed_level_failure(rho_file, capsys):
     assert main(["decompose", rho_file, "--n", "1"]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "NotDecomposable"
@@ -146,6 +155,13 @@ def test_enumerate_catalog(tmp_path, capsys):
     main(["enumerate", "--a", "3", "--b", "7", "--k", "8",
           "--max-elements", "2", "--out", str(again)])
     assert out.read_bytes() == again.read_bytes()
+
+
+def test_enumerate_has_no_jobs_flag(capsys):
+    # the search runs in one process; argparse rejects the old flag
+    assert main(["enumerate", "--a", "2", "--b", "4", "--k", "4",
+                 "--max-elements", "1", "--jobs", "2"]) == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 def test_enumerate_stamp(tmp_path):

@@ -127,7 +127,7 @@ class TestGrid:
         for n, k in ((3, 2), (3, 3), (3, 4), (3, 5), (4, 2), (4, 3), (4, 4)):
             rho = pk.random_rank_table(pk.core.DEFAULT_LABELS[:n], k, rng)
             ranks = expanded_ranks(rho)
-            grid = natural.count_grid(rho)
+            grid = natural.count_grid(rho, (k,) * n)
             for counts, value in grid.rows():
                 # the first c clones of each element j
                 subset = sum(((1 << c) - 1) << (j * k) for j, c in enumerate(counts))
@@ -207,9 +207,9 @@ class TestCountGridMemo:
         natural.count_grid.cache_clear()
         left = pk.RankTable(("e", "f"), 3, (0, 3, 2, 4))
         right = pk.RankTable(("x", "y"), 3, (0, 3, 2, 4))
-        assert natural.count_grid(left).rho is left
-        assert natural.count_grid(right).rho is right
-        assert natural.count_grid(left).rho is left
+        assert natural.count_grid(left, (3, 3)).rho is left
+        assert natural.count_grid(right, (3, 3)).rho is right
+        assert natural.count_grid(left, (3, 3)).rho is left
         assert grid_csv(right).startswith("x,y,rank\n")
         assert grid_csv(left).startswith("e,f,rank\n")
 
@@ -217,8 +217,8 @@ class TestCountGridMemo:
         natural.count_grid.cache_clear()
         low = pk.RankTable(("e",), 1, (0, 1))
         high = pk.RankTable(("e",), 2, (0, 1))
-        assert natural.count_grid(low).values == [0, 1]
-        assert natural.count_grid(high).values == [0, 1, 1]
+        assert natural.count_grid(low, (1,)).values == [0, 1]
+        assert natural.count_grid(high, (2,)).values == [0, 1, 1]
 
     def test_membership_miss_then_csv_builds_one_full_grid(self, monkeypatch):
         natural.count_grid.cache_clear()
@@ -235,9 +235,9 @@ class TestCountGridMemo:
         spec = pk.ClassSpec(1, 3, 4)
         member, witness = pk.class_membership(rho, spec)
         assert not member and witness is not None
-        assert built == [None]
+        assert built == [(4, 4)]
         text = grid_csv(rho)
-        assert built == [None]
+        assert built == [(4, 4)]
         assert text.count("\n") == 1 + 25
         # the lattice points and every minor face share one singleton-box grid
         pk.lattice_points(rho)
@@ -245,10 +245,21 @@ class TestCountGridMemo:
             if not a1 & a2:
                 pk.minor_face(rho, [rho.labels[i] for i in range(2) if a1 >> i & 1],
                               [rho.labels[i] for i in range(2) if a2 >> i & 1])
-        assert built == [None, rho.singleton_ranks()]
+        assert built == [(4, 4), rho.singleton_ranks()]
         # the cache-free detector keeps building its own grid
         assert pk.has_uniform_minor(rho, 1, 3)[0]
-        assert built == [None, rho.singleton_ranks(), None]
+        assert built == [(4, 4), rho.singleton_ranks(), None]
+
+    def test_full_box_and_singleton_box_of_k_share_one_grid(self):
+        # singleton ranks all equal k: the membership miss and the lattice
+        # points ask for the same box, so one grid serves both
+        natural.count_grid.cache_clear()
+        rho = pk.uniform(2, 4)
+        pk.minors._CLASS_CACHE.clear()
+        pk.class_membership(rho, pk.ClassSpec(1, 3, 1))
+        pk.lattice_points(rho)
+        assert natural.count_grid.cache_info().misses == 1
+        pk.minors._CLASS_CACHE.clear()
 
 
 class TestMinorMultisetRank:

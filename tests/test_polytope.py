@@ -171,7 +171,7 @@ class TestGridAgainstSubsetLoop:
         expected = minor_face(example_rho, ["e"], [])
         natural.count_grid.cache_clear()
         other = pk.RankTable(("e", "f"), 3, (0, 3, 2, 5))  # same box, other ranks
-        others = (natural.count_grid(example_rho),  # the [0,k]^E box
+        others = (natural.count_grid(example_rho, (3, 3)),  # the [0,k]^E box
                   natural.count_grid(example_rho, (3, 1)),
                   natural.count_grid(other, other.singleton_ranks()))
         built = []
