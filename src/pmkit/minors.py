@@ -34,6 +34,11 @@ first, so a table the search has already built costs one dict lookup; only
 on a miss is the table canonically labelled and its canonical form looked
 up, and only on a miss there is the detector run, on the table's full count
 grid from ``natural.count_grid``, which ``grid_csv`` then reuses.
+
+The class is closed under k-duality: the natural matroid of rho* is the dual
+of rho's, and U(a, b) and U(b-a, b) are forbidden together. So when the
+detector finds nothing, the canonical form of rho* is stored as in the class
+too. Only in-class verdicts are shared, so no stored witness depends on it.
 """
 
 from __future__ import annotations
@@ -272,9 +277,12 @@ def _witness(rho: RankTable, spec: ClassSpec) -> MinorWitness | None:
     own coordinates (or None). rho's own vector is looked up first; on a
     miss, its canonical form is, and on a miss there the witness is detected
     on rho's full count grid and stored under the form in canonical
-    coordinates. The witness in rho's labelling is then stored under rho's
-    vector. A canonical form's least permutation is the identity, so when
-    rho's vector is its own form the two keys are one entry with one meaning.
+    coordinates. When nothing is detected, None is also stored under the
+    canonical form of rho.dual(), unless that key is already there: rho* is
+    in the class iff rho is. The witness in rho's labelling is then stored
+    under rho's vector, unless that key is already there. A canonical form's
+    least permutation is the identity, so when rho's vector is its own form
+    the two keys are one entry with one meaning.
     """
     if rho.k != spec.k:
         raise KMismatch("table k does not match the class k",
@@ -294,9 +302,13 @@ def _witness(rho: RankTable, spec: ClassSpec) -> MinorWitness | None:
                 break
         inverse = sorted(range(len(perm)), key=perm.__getitem__)
         _store(key, None if witness is None else _relabel(witness, inverse))
+        if witness is None:
+            dual = (spec.a, spec.b, spec.k, canonical_labelling(rho.dual())[0])
+            if dual not in _CLASS_CACHE:
+                _store(dual, None)
     else:
         witness = None if canonical is None else _relabel(canonical, perm)
-    if key != own:
+    if own not in _CLASS_CACHE:
         _store(own, witness)
     return witness
 
@@ -440,6 +452,41 @@ def count_formula(a: int, k: int) -> int:
 
 # -- exhaustive search -------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _minor_sources(n: int) -> tuple[tuple, tuple]:
+    """Where the search's single-step minors read their ranks on an n-element
+    ground set, in core._gather's order.
+
+    For each mask: the positions in it, and the source mask of each entry of
+    the restriction's rank vector. For each position i: the positions left,
+    the bit of i, and the source mask of each entry of the contraction's
+    rank vector before rho(i) is subtracted.
+    """
+    masks = range(1 << n)
+    full = (1 << n) - 1
+
+    def positions(mask: int) -> tuple[int, ...]:
+        return tuple(i for i in range(n) if mask >> i & 1)
+
+    restrictions = tuple((positions(mask), _gather(masks, positions(mask)))
+                         for mask in masks)
+    contractions = tuple((positions(full ^ 1 << i), 1 << i,
+                          _gather(masks, positions(full ^ 1 << i), 1 << i))
+                         for i in range(n))
+    return restrictions, contractions
+
+
+def _vector_in_class(spec: ClassSpec, labels: tuple[str, ...],
+                     ranks: tuple[int, ...]) -> bool:
+    """in_class of the k-polymatroid with these labels and rank vector, read
+    straight from _CLASS_CACHE by the vector; a RankTable is built only on a
+    miss, and goes through _witness."""
+    witness = _CLASS_CACHE.get((spec.a, spec.b, spec.k, ranks), _MISS)
+    if witness is _MISS:
+        witness = _witness(RankTable._trusted(labels, spec.k, ranks), spec)
+    return witness is None
+
+
 def _admit(spec: ClassSpec, labels: Sequence[str]):
     """The search's iter_rank_tables ``admit`` predicate.
 
@@ -448,16 +495,38 @@ def _admit(spec: ClassSpec, labels: Sequence[str]):
     first in generation order, so that table has sorted singleton ranks and
     survives the cut. Otherwise it admits a subset once it has its rank iff
     the restriction to it is in the class; the class is minor-closed, so a
-    pruned subtree holds no excluded minor."""
+    pruned subtree holds no excluded minor. The restriction's rank vector is
+    gathered through the source masks of _minor_sources and looked up in
+    _CLASS_CACHE directly (see _vector_in_class)."""
+    screens = [(tuple(labels[i] for i in at), sources)
+               for at, sources in _minor_sources(len(labels))[0]]
+
     def admit(mask: int, ranks: list[int]) -> bool:
         if mask > 1 and mask & (mask - 1) == 0 and ranks[mask] < ranks[mask >> 1]:
             return False
-        at = [i for i in range(len(labels)) if mask >> i & 1]
-        restriction = RankTable._trusted(tuple(labels[i] for i in at), spec.k,
-                                         _gather(ranks, at))
-        return in_class(restriction, spec)
+        sub, sources = screens[mask]
+        return _vector_in_class(spec, sub, tuple(map(ranks.__getitem__, sources)))
 
     return admit
+
+
+def _contractions_in_class(spec: ClassSpec, labels: Sequence[str]):
+    """The search's contraction screen: whether every single-element
+    contraction of a table on these labels is in the class, in label order,
+    with each contraction's rank vector gathered and looked up like a
+    restriction in _admit."""
+    screens = [(tuple(labels[i] for i in at), bit, sources)
+               for at, bit, sources in _minor_sources(len(labels))[1]]
+
+    def screen(ranks: tuple[int, ...]) -> bool:
+        for sub, bit, sources in screens:
+            base = ranks[bit]
+            if not _vector_in_class(spec, sub,
+                                    tuple([ranks[m] - base for m in sources])):
+                return False
+        return True
+
+    return screen
 
 
 def search_excluded(spec: ClassSpec, max_elements: int | None = None,
@@ -470,11 +539,13 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     Candidate tables are generated with monotonicity/submodularity propagated
     as branch bounds. A subtree is skipped as soon as the restriction to a
     proper subset, fixed once that subset has its rank, falls outside the
-    class (membership is cached by rank vector, then by canonical form). A
-    table that is reached therefore has all its deletions in the class; it is
-    screened through its single-element contractions before the membership
-    test runs on the table itself. The budget counts the nodes the walk
-    tries, over all ground-set sizes.
+    class. A table that is reached therefore has all its deletions in the
+    class; it is screened through its single-element contractions before the
+    membership test runs on the table itself. Both screens gather the
+    minor's rank vector from the working ranks and look it up in the class
+    cache directly; a RankTable is built only on a miss. In-class verdicts
+    are shared with the k-dual's canonical form (see _witness). The budget
+    counts the nodes the walk tries, over all ground-set sizes.
 
     The walk also cuts every table whose singleton ranks decrease in label
     order. Tables are yielded in rank-vector lex order with the singletons
@@ -502,10 +573,11 @@ def search_excluded(spec: ClassSpec, max_elements: int | None = None,
     counter = [0]
     for n in range(0, max_elements + 1):
         labels = DEFAULT_LABELS[:n]
+        contractions_in_class = _contractions_in_class(spec, labels)
         for rho in iter_rank_tables(labels, spec.k, budget=budget,
                                     counter=counter, admit=_admit(spec, labels)):
             # every proper restriction was admitted; the contractions remain
-            if not all(in_class(rho.contract([name]), spec) for name in labels):
+            if not contractions_in_class(rho.ranks):
                 continue
             member, witness = class_membership(rho, spec)
             if member:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -54,7 +55,17 @@ def polymatroid_from_dict(data) -> RankTable:
 
 
 def dumps_polymatroid(rho: RankTable) -> str:
-    return json.dumps(polymatroid_to_dict(rho), indent=2) + "\n"
+    """``json.dumps(polymatroid_to_dict(rho), indent=2)`` plus a newline,
+    written out directly: with an indent, json.dumps walks the dict in pure
+    Python, and only the strings need its encoder. The ranks object is never
+    empty, since it holds the empty set."""
+    quote = encode_basestring_ascii
+    ground = ",\n".join(f"    {quote(name)}" for name in rho.labels)
+    ranks = ",\n".join(f"    {quote(name)}: {rank}"
+                       for name, rank in zip(_subset_names(rho.labels), rho.ranks))
+    ground = f"[\n{ground}\n  ]" if rho.labels else "[]"
+    return (f'{{\n  "format": {FORMAT_VERSION},\n  "ground": {ground},\n'
+            f'  "k": {rho.k},\n  "ranks": {{\n{ranks}\n  }}\n}}\n')
 
 
 def loads_polymatroid(text: str) -> RankTable:

@@ -189,12 +189,20 @@ def check_4_grid_duality() -> CheckResult:
 
 
 def check_4_class_duality() -> CheckResult:
+    # both verdicts are detected directly: the class cache stores in-class
+    # verdicts under the dual's form too, so it would answer for the dual
+    # from the very entry under test
     t0 = time.perf_counter()
+
+    def member(rho: RankTable, spec: ClassSpec) -> bool:
+        return not any(minors.has_uniform_minor(rho, a0, b0)[0]
+                       for a0, b0 in spec.targets)
+
     for a, b, k in ((2, 4, 4), (3, 7, 8)):
         spec = ClassSpec(a, b, k)
         for re_, rf, m in minors.doubleton_triples(k):
             rho = doubleton(re_, rf, m, k)
-            if minors.in_class(rho, spec) != minors.in_class(rho.dual(), spec):
+            if member(rho, spec) != member(rho.dual(), spec):
                 return _result("4c", "class membership is k-duality invariant",
                                "properties", False,
                                f"({re_},{rf},{m}) k={k}", t0)

@@ -255,17 +255,21 @@ class TestClassCache:
         tables = list(pk.iter_rank_tables(LABELS[:2], 4))
         kept = []  # the keys a first-in first-out cache of 5 holds
         for rho in tables + tables[:8]:  # the repeats were evicted long ago
+            hits = [pk.has_uniform_minor(rho, a0, b0)[0] for a0, b0 in spec.targets]
             # a miss on rho's own vector stores the form's key if that
-            # missed too, then rho's own key unless it is the form's
+            # missed too, then, if that detection found nothing, the dual's
+            # form, then rho's own key; each only if it is not held already
             own = (2, 4, 4, rho.ranks)
             form = (2, 4, 4, pk.core.canonical_labelling(rho)[0])
+            dual = (2, 4, 4, pk.core.canonical_labelling(rho.dual())[0])
             if own not in kept:
-                for key in (form, own):
+                detected = form not in kept
+                for key in ((form, dual, own) if detected and not any(hits)
+                            else (form, own)):
                     if key not in kept:
                         kept = (kept + [key])[-5:]
             member, witness = pk.class_membership(rho, spec)
             assert len(pk.minors._CLASS_CACHE) <= 5
-            hits = [pk.has_uniform_minor(rho, a0, b0)[0] for a0, b0 in spec.targets]
             assert member == (not any(hits))
             assert member or pk.check_witness(rho, witness)
         assert list(pk.minors._CLASS_CACHE) == kept
@@ -337,6 +341,56 @@ class TestExactVectorLookup:
         assert [pk.in_class(rho, self.SPEC) for rho in tables] == [f[0] for f in first]
         assert not first[2][0] and pk.check_witness(tables[2], first[2][1])
         pk.minors._CLASS_CACHE.clear()
+
+
+def cold_member(rho, spec):
+    """Class membership by direct detection on both targets, no cache."""
+    return not any(pk.has_uniform_minor(rho, a0, b0)[0] for a0, b0 in spec.targets)
+
+
+SPECS = (ClassSpec(2, 4, 4), ClassSpec(1, 2, 2), ClassSpec(1, 3, 3))
+
+
+def spec_id(spec):
+    return f"{spec.a},{spec.b},{spec.k}"
+
+
+def dual_sharing_tables(spec):
+    """Every table with |E| <= 3 at the class's k, then five seeded tables
+    each with |E| = 4 and 5."""
+    labels = pk.core.DEFAULT_LABELS
+    tables = [rho for n in range(4) for rho in pk.iter_rank_tables(labels[:n], spec.k)]
+    rng = random.Random(4100 + spec.k)
+    tables += [pk.random_rank_table(labels[:n], spec.k, rng)
+               for n in (4, 5) for _ in range(5)]
+    return tables
+
+
+class TestDualSharing:
+    """A miss that detects nothing also stores the k-dual's form as in the
+    class; these check the duality that rests on against direct detection."""
+
+    @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+    def test_cold_verdicts_of_rho_and_its_dual_agree(self, spec):
+        for rho in dual_sharing_tables(spec):
+            assert cold_member(rho, spec) == cold_member(rho.dual(), spec)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+    def test_every_entry_of_a_cold_miss_holds_on_its_own_vector(self, spec):
+        cache = pk.minors._CLASS_CACHE
+        shared = 0
+        for rho in dual_sharing_tables(spec):
+            cache.clear()
+            member, _ = pk.class_membership(rho, spec)
+            dual = (spec.a, spec.b, spec.k, pk.canonical_form(rho.dual()))
+            assert not member or cache[dual] is None
+            for (_, _, k, ranks), witness in cache.items():
+                entry = pk.RankTable(rho.labels, k, ranks)
+                assert cold_member(entry, spec) == (witness is None)
+                assert witness is None or pk.check_witness(entry, witness)
+            shared += member and pk.canonical_form(rho) != dual[3]
+        assert shared  # some duals are not isomorphic to their table
+        cache.clear()
 
 
 class TestInClass:
@@ -541,9 +595,7 @@ def unpruned_search(spec, max_elements):
 
 
 class TestRestrictionPruning:
-    SPECS = (ClassSpec(2, 4, 4), ClassSpec(1, 2, 2), ClassSpec(1, 3, 3))
-
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
+    @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
     def test_search_walk_is_the_sorted_deletion_screen(self, spec):
         # the search's leaves are, in order, the tables with nondecreasing
         # singleton ranks whose single-element deletions are all in the class
@@ -559,7 +611,18 @@ class TestRestrictionPruning:
                     screened.append(rho)
             assert walked == screened
 
-    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.a},{s.b},{s.k}")
+    @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
+    def test_contraction_screen_is_every_contraction_in_class(self, spec):
+        pk.minors._CLASS_CACHE.clear()
+        for n in range(4):
+            labels = pk.core.DEFAULT_LABELS[:n]
+            screen = pk.minors._contractions_in_class(spec, labels)
+            for rho in pk.iter_rank_tables(labels, spec.k):
+                assert screen(rho.ranks) == all(
+                    pk.in_class(rho.contract([name]), spec) for name in labels)
+        pk.minors._CLASS_CACHE.clear()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=spec_id)
     def test_search_matches_unpruned_screen(self, spec):
         pk.minors._CLASS_CACHE.clear()
         expected = unpruned_search(spec, 3)
@@ -610,8 +673,11 @@ class TestFourElementCatalog:
 
     def test_search_labels_each_rank_vector_once(self, monkeypatch):
         # the class cache is looked up on the exact rank vector first, so
-        # only the 374 distinct vectors the search meets are canonically
-        # labelled (5,933 labellings when every lookup went through the form)
+        # only the distinct vectors the search meets are canonically
+        # labelled (5,933 labellings when every lookup went through the form);
+        # an in-class detection also labels its dual, whose form is then
+        # stored in the class, so 143 grids are built instead of 226 and 388
+        # labellings run instead of 374
         labelled, grids = [0], [0]
         labelling = pk.minors.canonical_labelling
         grid_init = pk.natural.MultisetRankGrid.__init__
@@ -629,7 +695,7 @@ class TestFourElementCatalog:
         pk.minors._CLASS_CACHE.clear()
         records = pk.search_excluded(ClassSpec(2, 4, 4), max_elements=4)
         assert [r.canonical for r in records] == CATALOG_244
-        assert (labelled[0], grids[0]) == (374, 226)
+        assert (labelled[0], grids[0]) == (388, 143)
 
 
 class TestFiveElementCatalog:

@@ -19,6 +19,8 @@ from pmkit.serialize import (
     polymatroid_to_dict,
 )
 
+from test_polytope import property_tables
+
 
 def test_round_trip_random_tables(random_tables):
     for rho in random_tables(25):
@@ -148,6 +150,16 @@ def test_round_trip_is_byte_identical():
             assert json.loads(text)["ranks"] == {
                 pk.core.subset_name(labels, mask): value
                 for mask, value in enumerate(rho.ranks)}
+
+
+def test_dumps_is_the_indented_json_dumps():
+    # dumps_polymatroid writes the json.dumps(indent=2) text by hand
+    tables = property_tables() + [
+        pk.RankTable((), 2, (0,)),
+        pk.RankTable(("\u03b3", 'q"\\', "\u2603\t"), 1, (0, 1, 1, 1, 1, 1, 1, 1))]
+    for rho in tables:
+        expected = json.dumps(polymatroid_to_dict(rho), indent=2) + "\n"
+        assert dumps_polymatroid(rho) == expected
 
 
 def test_points_csv(example_rho):
