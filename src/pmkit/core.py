@@ -341,7 +341,8 @@ def validate(ground: Iterable[str], k: int, ranks) -> RankTable:
         dense = tuple(map(ranks.__getitem__, expected))
     else:
         dense = tuple(ranks)
-    return RankTable(labels, k, dense)
+    _check_axioms(labels, k, dense)
+    return RankTable._trusted(labels, k, dense)
 
 
 DEFAULT_LABELS = ("e", "f", "g", "h", "i", "j")

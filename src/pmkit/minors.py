@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from . import config
@@ -166,9 +165,22 @@ def _counts(offset: int, strides: Counts) -> Counts:
 @functools.lru_cache(maxsize=_OFFSET_TABLES)
 def _offsets(total: int, bound: int, strides: Counts) -> tuple[int, ...]:
     """The flat grid offsets of _compositions(total, limits), in its order,
-    where the limits are the count vector at offset bound."""
-    return tuple(sum(map(mul, vec, strides))
-                 for vec in _compositions(total, _counts(bound, strides)))
+    where the limits are the count vector at offset bound.
+
+    Built a coordinate at a time, as a list of (partial offset, remaining
+    total) pairs in lexicographic order: coordinate i takes each v from
+    max(0, rest - room) to min(limit_i, rest), where room is the sum of the
+    later limits, so every extension can still be completed and the last
+    coordinate leaves nothing over; with no coordinates only a total of 0
+    is met."""
+    limits = _counts(bound, strides)
+    room = sum(limits)
+    partial = [(0, total)]
+    for limit, stride in zip(limits, strides):
+        room -= limit
+        partial = [(offset + v * stride, rest - v) for offset, rest in partial
+                   for v in range(max(0, rest - room), min(limit, rest) + 1)]
+    return tuple(offset for offset, rest in partial if not rest)
 
 
 def _detect(rho: RankTable, a0: int, b0: int, prune: bool = True,

@@ -19,8 +19,16 @@ grid [0,k]^E:
 
       T_j(B, c_j..c_n) = min(T_{j+1}(B+j, c_>j), T_{j+1}(B, c_>j) + c_j)
 
-  for B inside {1..j-1}, from T_{n+1} = rho to T_1 = R, in
-  sum_j 2^(j-1) (l_j+1)...(l_n+1) steps instead of (l_1+1)...(l_n+1) 2^n.
+  for B inside {1..j-1}, from T_{n+1} = rho to T_1 = R. As rho is monotone
+  and subadditive,
+
+      T_{j+1}(B, .) <= T_{j+1}(B+j, .) <= T_{j+1}(B, .) + rho({j}),
+
+  so the column c_j = 0 is a copy of T_{j+1}(B, .) and every column with
+  c_j >= rho({j}) a copy of T_{j+1}(B+j, .). Only the columns
+  1 <= c_j < rho({j}) take the minimum, in
+  sum_j 2^(j-1) max(0, min(l_j, rho({j}) - 1)) (l_{j+1}+1)...(l_n+1) steps
+  instead of (l_1+1)...(l_n+1) 2^n.
 
 Because min_B rho(B) + c(E-B) >= c(E) holds exactly when c(B) <= rho(B) for
 every B, an integer vector c is a point of the independence polytope exactly
@@ -143,6 +151,16 @@ def minor_multiset_rank(grid: "MultisetRankGrid", contract: Sequence[int],
     return grid.value_at(total) - grid.value_at(contract)
 
 
+@functools.lru_cache(maxsize=None)
+def _reversed_masks(n: int) -> tuple[int, ...]:
+    """The subsets of n elements with bit i of the index standing for element
+    n - 1 - i, so element n - 1 is the lowest bit and element 0 the highest."""
+    masks = [0]
+    for i in range(n):
+        masks = [mask | bit for mask in masks for bit in (0, 1 << i)]
+    return tuple(masks)
+
+
 class MultisetRankGrid:
     """Multiset ranks on the box [0, limits] (default [0,k]^E), all computed
     at construction.
@@ -171,26 +189,23 @@ class MultisetRankGrid:
         for i in range(n - 1, 0, -1):
             strides[i - 1] = strides[i] * (limits[i] + 1)
         self.strides = tuple(strides)
-        # before the pass for element j the table is indexed by (subset of
-        # elements <= j, counts of elements > j), subset major, so j is the
-        # top bit; the pass pairs each count block of the upper half (j in
-        # the subset) with its twin in the lower half and writes one block
-        # per count of j
-        table = list(rho.ranks)
-        size = 1  # points of one count block
+        # before the pass for element j the table is indexed by (counts of
+        # elements > j, subset of elements <= j), counts major, with j as
+        # the lowest bit of the subset, so the pass pairs the odd entries
+        # a (j in the subset) with the even ones o and writes one column
+        # min(a, o + c) per count c of j, in front of the older counts. As
+        # rho is monotone o <= a, and as it is subadditive a <= o + rho({j}),
+        # so column 0 is o and every column from rho({j}) on is a: only the
+        # columns in between take the minimum
+        ranks = rho.ranks
+        table = [ranks[mask] for mask in _reversed_masks(n)]
         for j in reversed(range(n)):
-            cut = len(table) >> 1
-            cs = range(limits[j] + 1)
-            if size == 1:
-                table = [a if a <= o + c else o + c
-                         for a, o in zip(table[cut:], table[:cut]) for c in cs]
-            else:
-                blocks = [(table[cut + p:cut + p + size], table[p:p + size])
-                          for p in range(0, cut, size)]
-                table = [a if a <= o + c else o + c
-                         for inside, outside in blocks for c in cs
-                         for a, o in zip(inside, outside)]
-            size *= limits[j] + 1
+            lower, upper = table[0::2], table[1::2]
+            mins = range(1, min(limits[j] + 1, ranks[1 << j]))
+            table = lower[:]
+            for c in mins:
+                table += [a if a <= o + c else o + c for a, o in zip(upper, lower)]
+            table += upper * (limits[j] - len(mins))
         self.values = table
 
     def value_at(self, counts: Sequence[int]) -> int:

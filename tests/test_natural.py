@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -140,6 +141,47 @@ class TestGrid:
         assert len(MultisetRankGrid(example_rho).values) == 16
         with pytest.raises(errors.TooLarge):
             MultisetRankGrid(pk.singleton(1, 16))
+
+    @staticmethod
+    def limit_choices(rho):
+        """Per coordinate j, the limits 0, rho({j}) - 1, rho({j}), rho({j}) + 1
+        and k that lie in [0, k]: below, at and above the singleton rank,
+        where the kernel's copied and computed columns meet."""
+        k = rho.k
+        return [sorted({v for v in (0, r - 1, r, r + 1, k) if 0 <= v <= k})
+                for r in (rho.ranks[1 << j] for j in range(len(rho.labels)))]
+
+    @staticmethod
+    def assert_box_grid(rho, box, rank):
+        grid = MultisetRankGrid(rho, box)
+        points = list(itertools.product(*(range(limit + 1) for limit in box)))
+        assert len(grid.values) == len(points)
+        for counts, value in zip(points, grid.values):
+            assert value == rank(counts), (rho.ranks, rho.k, box, counts)
+
+    def test_box_grids_match_multiset_rank_on_small_tables(self):
+        """Every table with |E| <= 3 and k <= 3 (loops, rho({j}) = k, k = 0
+        and the empty ground set among them) on every box whose limits are
+        each below, at or above the singleton rank."""
+        for n in range(4):
+            for k in range(4):
+                for rho in pk.iter_rank_tables(pk.core.DEFAULT_LABELS[:n], k):
+                    rank = functools.cache(functools.partial(multiset_rank, rho))
+                    for box in itertools.product(*self.limit_choices(rho)):
+                        self.assert_box_grid(rho, box, rank)
+
+    def test_box_grids_match_multiset_rank_on_seeded_tables(self):
+        rng = random.Random(2311)
+        for n, k in ((4, 4), (4, 3), (5, 3), (5, 2), (6, 2), (6, 1)):
+            for _ in range(2):
+                rho = pk.random_rank_table(pk.core.DEFAULT_LABELS[:n], k, rng)
+                choices = self.limit_choices(rho)
+                rank = functools.cache(functools.partial(multiset_rank, rho))
+                # shifted picks, so each coordinate meets each of its limits
+                for shift in range(5):
+                    box = tuple(limits[(j + shift) % len(limits)]
+                                for j, limits in enumerate(choices))
+                    self.assert_box_grid(rho, box, rank)
 
     def test_rows_lexicographic(self, example_rho):
         rows = list(MultisetRankGrid(example_rho).rows())
