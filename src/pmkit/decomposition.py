@@ -26,16 +26,17 @@ decompositions of the deletion, contraction, and restriction at one element,
 which is what ``decompose_via_minors`` does recursively.
 
 Compressions collapse. By compress's closed form the level-l compression at
-e is A -> min(rho(A) + l, rho(A+e)) - min(l, rho(e)) on E-e, so
-``compression_collapse`` compares it with the deletion rho(A) and the
-contraction rho(A+e) - rho(e) subset by subset, in one pass over the rank
-vector, without building a table. Why it always collapses: for l >= rho(e)
-the value is rho(A+e) - rho(e), as rho(A+e) <= rho(A) + rho(e), which is the
+e is A -> min(rho(A) + l, rho(A+e)) - min(l, rho(e)) on E-e. For l >= rho(e)
+every value is rho(A+e) - rho(e), as rho(A+e) <= rho(A) + rho(e): the
 contraction. For l < rho(e) it is min(rho(A), rho(A+e) - l), the deletion
-when every marginal rho(A+e) - rho(A) is at least l; by submodularity the
-least marginal is rho(E) - rho(E-e). For an essentially m-bounded table and
-l in [m, k-m] each e has rho(e) <= m <= l or marginal rho(E) - rho(E-e) >=
-k-m >= l.
+exactly when every marginal rho(A+e) - rho(A) is at least l; by
+submodularity the least marginal is rho(E) - rho(E-e). Where some marginal
+falls below l the value there is rho(A+e) - l, which is not the contraction
+rho(A+e) - rho(e) either. So ``compression_collapse`` answers from rho(e),
+the level and one marginal, in O(1) and without building a table. For an
+essentially m-bounded table and l in [m, k-m] each e has rho(e) <= m <= l or
+marginal rho(E) - rho(E-e) >= k-m >= l, so it always collapses. Check 9iv
+tests this against the compressed values compared subset by subset.
 """
 
 from __future__ import annotations
@@ -71,11 +72,12 @@ class CornerDecomposition:
     kept.
 
     A direct construction is checked in O(|E|) by the closed form of the
-    module docstring: the mask lies inside the ground set, 0 <= n <= k,
-    every non-coloop e has rho(e) <= n and every coloop e has marginal
-    rho(E) - rho(E-e) >= k-n. ``corner_decompose`` relies on this check;
-    the other constructors in this module establish validity themselves and
-    build through ``_trusted``.
+    module docstring: the mask is an int inside the ground set, n is an int
+    with 0 <= n <= k (a bool is refused for either, as the axiom check
+    refuses a bool k), every non-coloop e has rho(e) <= n and every coloop e
+    has marginal rho(E) - rho(E-e) >= k-n. ``corner_decompose`` relies on
+    this check; the other constructors in this module establish validity
+    themselves and build through ``_trusted``.
     """
 
     source: RankTable          # rho, a k-polymatroid
@@ -84,10 +86,11 @@ class CornerDecomposition:
 
     def __post_init__(self):
         rho, n, coloop_mask = self.source, self.level, self.coloop_mask
-        if not isinstance(coloop_mask, int) or not 0 <= coloop_mask <= rho.full_mask:
+        if (not isinstance(coloop_mask, int) or isinstance(coloop_mask, bool)
+                or not 0 <= coloop_mask <= rho.full_mask):
             raise UnknownElement("coloop mask lies outside the ground set",
                                  coloop_mask=coloop_mask, ground=list(rho.labels))
-        if not isinstance(n, int) or not 0 <= n <= rho.k:
+        if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= rho.k:
             raise InvalidParams("n must lie in [0, k]", n=n, k=rho.k)
         weight = rho.k - n
         for i, name in enumerate(rho.labels):
@@ -185,24 +188,41 @@ def corner_decompose_exhaustive(rho: RankTable, n: int) -> list[CornerDecomposit
     return out
 
 
-@lru_cache(maxsize=1 << 16)
+# Tables whose bound essential_bound keeps, least recently used out first.
+# Its callers ask again about the table they just asked about (the hypothesis
+# check of compression_collapse, check 9iii's repeated levels), so a few
+# hundred entries serve every hit; a memo holding every table of a sweep hit
+# no more often and kept tens of thousands of decompositions alive.
+_BOUND_MEMO = 1 << 8
+
+
+@lru_cache(maxsize=_BOUND_MEMO)
 def essential_bound(rho: RankTable) -> tuple[int, CornerDecomposition]:
     """Least n admitting an n-corner decomposition, with the one whose coloops
     are forced (see the module docstring). Builds no table: the decomposition
     holds rho, n and the coloop bitmask, and builds tau and the separator on
-    first read. Pure in rho, so memoized."""
-    ranks, k = rho.ranks, rho.k
+    first read. Pure in rho, so the _BOUND_MEMO most recently asked tables
+    are memoized."""
+    ranks = rho.ranks
     full = len(ranks) - 1
-    slack = k - ranks[full]  # k - rho(E) + rho(E-e) = k - marginal(e)
-    size = len(rho.labels)
+    slack = rho.k - ranks[full]  # k - rho(E) + rho(E-e) = k - marginal(e)
     n = 0
-    for i in range(size):
-        bit = 1 << i
-        n = max(n, min(ranks[bit], slack + ranks[full ^ bit]))
+    bit = 1
+    while bit <= full:  # n = max_e min(rho(e), slack + rho(E-e))
+        value = ranks[bit]
+        if value > n:
+            other = slack + ranks[full ^ bit]
+            if other < value:
+                value = other
+            if value > n:
+                n = value
+        bit <<= 1
     coloop_mask = 0
-    for i in range(size):
-        if ranks[1 << i] > n:
-            coloop_mask |= 1 << i
+    bit = 1
+    while bit <= full:
+        if ranks[bit] > n:
+            coloop_mask |= bit
+        bit <<= 1
     return n, CornerDecomposition._trusted(rho, n, coloop_mask)
 
 
@@ -296,38 +316,28 @@ CollapseTag = Literal["deletion", "contraction"]
 
 def _collapse(ranks: tuple[int, ...], bit: int, level: int) -> CollapseTag | None:
     """The minor that the level compression at the element with this bit
-    equals, or None when it equals neither. One pass over the subsets A of
-    E-e compares the compressed value min(rho(A) + l, rho(A+e)) - min(l, rho(e))
-    with rho(A) (deletion) and rho(A+e) - rho(e) (contraction). The predicted
-    contraction (level >= rho(e)) wins, then the deletion, then the contraction.
-    """
-    rank_e = ranks[bit]
-    base = min(level, rank_e)
-    deletion = contraction = True
-    for small in range(len(ranks)):
-        if small & bit:
-            continue
-        alone, joined = ranks[small], ranks[small | bit]
-        value = min(alone + level, joined) - base
-        deletion = deletion and value == alone
-        contraction = contraction and value == joined - rank_e
-        if not (deletion or contraction):
-            return None
-    if contraction and level >= rank_e:
+    equals, or None when it equals neither, by the closed form of the module
+    docstring: the contraction when level >= rho(e), else the deletion when
+    the marginal rho(E) - rho(E-e) is at least the level. At or above rho(e)
+    the contraction is named even where the deletion also holds; below it
+    the contraction holds only where the deletion does, and the deletion is
+    named."""
+    if level >= ranks[bit]:
         return "contraction"
-    return "deletion" if deletion else "contraction"
+    full = len(ranks) - 1
+    if ranks[full] - ranks[full ^ bit] >= level:
+        return "deletion"
+    return None
 
 
 def compression_collapse(rho: RankTable, element: str, level: int) -> CollapseTag:
     """For an essentially m-bounded table and m <= level <= k-m, the level
     compression equals the deletion or the contraction; says which.
 
-    One pass over the rank vector compares every compressed value with the
-    deletion and the contraction; no table is built (see the module
-    docstring). The predicted contraction (level >= rho(e)) wins, then the
-    deletion, then the contraction. A table that collapses to neither would be
-    a bug; it is raised loudly with the ranks of the compression, the deletion
-    and the contraction as its witness.
+    Answered in O(1) by the closed form of the module docstring (see
+    ``_collapse``); no table is built. A table that collapses to neither
+    would be a bug; it is raised loudly with the ranks of the compression,
+    the deletion and the contraction as its witness.
     """
     if element not in rho.labels:
         raise UnknownElement(f"element {element!r} is not in the ground set",

@@ -84,6 +84,13 @@ class TestPublicConstruction:
             pk.CornerDecomposition(example_rho, 4, 0)
         with pytest.raises(errors.InvalidParams):
             pk.CornerDecomposition(example_rho, -1, 0)
+        # a bool is refused as the axiom check refuses a bool k
+        with pytest.raises(errors.InvalidParams):
+            pk.CornerDecomposition(pk.singleton(1, 3), True, 0)
+        with pytest.raises(errors.UnknownElement):
+            pk.CornerDecomposition(pk.singleton(1, 3), 1, False)
+        with pytest.raises(errors.UnknownElement):
+            pk.CornerDecomposition(pk.singleton(1, 3), True, False)
         with pytest.raises(errors.NotDecomposable) as exc:
             pk.CornerDecomposition(example_rho, 2, 0)  # rho(e) = 3 > 2
         assert exc.value.details == {"n": 2, "element": "e", "rank": 3}
@@ -195,6 +202,33 @@ class TestLazyDecomposition:
         assert sep.coloop_mask == 0b101
         monkeypatch.setattr(core, "mask_of", None)
         assert [sep.rank(mask) for mask in range(8)] == [0, 1, 0, 1, 1, 2, 1, 2]
+
+
+class TestBoundMemo:
+    def test_memo_is_bounded(self):
+        assert (pk.essential_bound.cache_info().maxsize
+                == decomposition._BOUND_MEMO)
+        pk.essential_bound.cache_clear()
+        tables = [rho for k in range(1, 9)
+                  for rho in pk.iter_rank_tables(LABELS[:2], k)]
+        assert len(tables) > decomposition._BOUND_MEMO
+        for rho in tables:
+            pk.essential_bound(rho)
+        info = pk.essential_bound.cache_info()
+        assert info.misses == len(tables)
+        assert info.currsize <= decomposition._BOUND_MEMO
+
+    def test_collapse_after_the_bound_hits_the_memo(self):
+        pk.essential_bound.cache_clear()
+        for rho in tables_upto3(4):
+            m, _ = pk.essential_bound(rho)
+            for name in rho.labels:
+                for level in range(m, rho.k - m + 1):
+                    before = pk.essential_bound.cache_info()
+                    pk.compression_collapse(rho, name, level)
+                    after = pk.essential_bound.cache_info()
+                    assert (after.hits - before.hits,
+                            after.misses - before.misses) == (1, 0)
 
 
 class TestEssentialBoundOnRandomTables:
@@ -393,6 +427,22 @@ class TestCompressionCollapse:
                         (rho, name, level)
                     neither += tag is None
         assert (neither > 0) == (k >= 2)
+
+    def test_kernel_matches_compress_on_seeded_larger_tables(self):
+        # beyond |E| <= 3: every element at every level of seeded tables,
+        # each against the built compression, deletion and contraction
+        rng = random.Random(2718)
+        neither = 0
+        for n, k in ((4, 4), (4, 6), (5, 3), (6, 2)):
+            for _ in range(40):
+                rho = pk.random_rank_table(core.DEFAULT_LABELS[:n], k, rng)
+                for i, name in enumerate(rho.labels):
+                    for level in range(k + 1):
+                        tag = _collapse(rho.ranks, 1 << i, level)
+                        assert tag == collapse_by_minors(rho, name, level), \
+                            (rho, name, level)
+                        neither += tag is None
+        assert neither > 0
 
     @pytest.mark.parametrize("k", [5, 6, 7, 8])
     def test_collapse_matches_compress_on_bounded_levels(self, k):
